@@ -12,10 +12,15 @@
 // (member CSE), and same-window aggregates (exact CSE / sα attach).
 //
 // Reports per-add mean/p50/p99 µs over each checkpoint segment plus the
-// plan's m-ops/query, writes BENCH_query_scale.json, and exits nonzero if
-// the final segment's mean per-add latency exceeds 3x the first segment's
-// (the flatness acceptance; CI runs a tiny N=5k variant gated against the
-// committed JSON). RUMOR_BENCH_TINY=<n> caps N for smoke runs.
+// plan's m-ops/query. At each checkpoint it also times the remove path:
+// kRemovePairs add→remove pairs of a fresh query and kRemovePairs
+// remove→re-add pairs of a random standing query, reporting RemoveQuery's
+// mean/p50/p90 µs (a remove retires one σ-index member in place, so it
+// must stay as flat as an add). Writes BENCH_query_scale.json and exits
+// nonzero if the final segment's mean per-add latency, or the final
+// checkpoint's remove p50, exceeds 3x the first one's (the flatness
+// acceptance; CI runs a tiny N=5k variant gated against the committed
+// JSON). RUMOR_BENCH_TINY=<n> caps N for smoke runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +31,7 @@
 #include "api/stream_engine.h"
 #include "bench/figure_common.h"
 #include "common/json_writer.h"
+#include "common/rng.h"
 
 using namespace rumor;
 
@@ -71,6 +77,76 @@ std::string JoinRql(int i) {
       return "SELECT * FROM A [RANGE 32] JOIN B [RANGE " + std::to_string(w) +
              "] ON A.x = B.x";
   }
+}
+
+// Pairs per kind timed at each checkpoint (2 * kRemovePairs removes),
+// after kWarmupPairs untimed ones.
+constexpr int kRemovePairs = 400;
+constexpr int kWarmupPairs = 50;
+
+double MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// RemoveQuery latency at one checkpoint, over both kinds of remove, plus
+// the median of each kind: a fresh query's remove finds its state in
+// cache, a random standing query's does not.
+struct RemoveRow {
+  int n = 0;  // standing queries
+  double mean_us = 0;
+  double p50_us = 0;
+  double p90_us = 0;
+  double fresh_p50_us = 0;
+  double standing_p50_us = 0;
+};
+
+double Median(std::vector<double> us) {
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
+}
+
+// Times the remove path on an engine holding standing queries Q0..Q<n-1>:
+// add→remove pairs of fresh queries (F<id>, shapes drawn past the standing
+// range; *next_fresh numbers them) and remove→re-add pairs of random
+// standing queries (re-added under their names, so the standing set is
+// unchanged afterwards).
+RemoveRow TimeRemoves(StreamEngine& engine, int n, int* next_fresh,
+                      Rng& rng) {
+  std::vector<double> fresh_us;
+  std::vector<double> standing_us;
+  for (int k = -kWarmupPairs; k < kRemovePairs; ++k) {
+    const int id = (*next_fresh)++;
+    const std::string fresh = "F" + std::to_string(id);
+    RUMOR_CHECK(engine.AddQueryText(QueryRql(id), fresh).ok());
+    auto t0 = std::chrono::steady_clock::now();
+    RUMOR_CHECK(engine.RemoveQuery(fresh).ok());
+    fresh_us.push_back(MicrosSince(t0));
+
+    const int victim = static_cast<int>(rng.UniformInt(0, n - 1));
+    const std::string name = "Q" + std::to_string(victim);
+    t0 = std::chrono::steady_clock::now();
+    RUMOR_CHECK(engine.RemoveQuery(name).ok());
+    standing_us.push_back(MicrosSince(t0));
+    RUMOR_CHECK(engine.AddQueryText(QueryRql(victim), name).ok());
+    if (k < 0) {
+      fresh_us.clear();
+      standing_us.clear();
+    }
+  }
+  RemoveRow row;
+  row.n = n;
+  row.fresh_p50_us = Median(fresh_us);
+  row.standing_p50_us = Median(standing_us);
+  std::vector<double> us = std::move(fresh_us);
+  us.insert(us.end(), standing_us.begin(), standing_us.end());
+  std::sort(us.begin(), us.end());
+  for (double v : us) row.mean_us += v;
+  row.mean_us /= static_cast<double>(us.size());
+  row.p50_us = us[us.size() / 2];
+  row.p90_us = us[us.size() * 9 / 10];
+  return row;
 }
 
 struct Segment {
@@ -121,9 +197,7 @@ std::vector<Segment> RunJoinVariant(int total) {
     const std::string name = "J" + std::to_string(i);
     auto t0 = std::chrono::steady_clock::now();
     Status s = engine.AddQueryText(rql, name);
-    us.push_back(std::chrono::duration<double, std::micro>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
+    us.push_back(MicrosSince(t0));
     RUMOR_CHECK(s.ok()) << s.ToString();
     if (i + 1 == total / 2 || i + 1 == total) {
       segments.push_back(Summarize(i + 1, us, engine));
@@ -162,20 +236,22 @@ int main() {
   }
 
   std::vector<Segment> segments;
+  std::vector<RemoveRow> removes;
   std::vector<double> us;  // per-add latencies of the current segment
+  Rng rng(0x5eed);
+  int next_fresh = total;
   size_t next = 0;
   for (int i = 1; i < total; ++i) {
     const std::string rql = QueryRql(i);
     const std::string name = "Q" + std::to_string(i);
     auto t0 = std::chrono::steady_clock::now();
     Status s = engine.AddQueryText(rql, name);
-    us.push_back(std::chrono::duration<double, std::micro>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
+    us.push_back(MicrosSince(t0));
     RUMOR_CHECK(s.ok()) << s.ToString();
     if (i + 1 == checkpoints[next]) {
       segments.push_back(Summarize(i + 1, us, engine));
       us.clear();
+      removes.push_back(TimeRemoves(engine, i + 1, &next_fresh, rng));
       ++next;
     }
   }
@@ -183,6 +259,8 @@ int main() {
 
   const double flatness =
       segments.back().mean_us / segments.front().mean_us;
+  const double remove_flatness =
+      removes.back().p50_us / removes.front().p50_us;
   const OptimizeStats& stats = engine.optimize_stats();
 
   // Join-heavy variant at a tenth of the σ population (joins carry windowed
@@ -192,7 +270,8 @@ int main() {
   const double join_flatness =
       join_segments.back().mean_us / join_segments.front().mean_us;
 
-  const bool pass = flatness <= 3.0 && join_flatness <= 3.0;
+  const bool pass =
+      flatness <= 3.0 && join_flatness <= 3.0 && remove_flatness <= 3.0;
 
   std::printf("# query-scale — per-add latency vs standing query count\n");
   std::printf("%10s %12s %12s %12s %10s %14s\n", "N", "mean_us", "p50_us",
@@ -205,6 +284,16 @@ int main() {
               stats.incremental_cse_merges, stats.incremental_attach_merges,
               stats.incremental_rule_merges);
   std::printf("# flatness (last/first segment mean): %.2fx\n", flatness);
+  std::printf("# remove path — %d add→remove + %d remove→re-add pairs\n",
+              kRemovePairs, kRemovePairs);
+  std::printf("%10s %12s %12s %12s %12s %12s\n", "N", "mean_us", "p50_us",
+              "p90_us", "fresh_p50", "standing_p50");
+  for (const RemoveRow& r : removes) {
+    std::printf("%10d %12.1f %12.1f %12.1f %12.1f %12.1f\n", r.n, r.mean_us,
+                r.p50_us, r.p90_us, r.fresh_p50_us, r.standing_p50_us);
+  }
+  std::printf("# remove flatness (last/first checkpoint p50): %.2fx\n",
+              remove_flatness);
   std::printf("# join-heavy variant — equi-join standing queries\n");
   for (const Segment& s : join_segments) {
     std::printf("%10d %12.1f %12.1f %12.1f %10d %14.4f\n", s.n_end, s.mean_us,
@@ -212,13 +301,13 @@ int main() {
   }
   std::printf("# join flatness (last/first segment mean): %.2fx\n",
               join_flatness);
-  std::printf("# acceptance: flatness <= 3x (both workloads): %s\n",
+  std::printf("# acceptance: flatness <= 3x (adds, joins, removes): %s\n",
               pass ? "PASS" : "FAIL");
 
   JsonWriter w;
-  w.BeginObject()
-      .KV("bench", "query_scale")
-      .KV("queries", total)
+  w.BeginObject().KV("bench", "query_scale");
+  bench::WriteHost(w);
+  w.KV("queries", total)
       .Key("flatness_ratio")
       .Double(flatness, 4)
       .KV("incremental_cse_merges", stats.incremental_cse_merges)
@@ -237,6 +326,26 @@ int main() {
         .KV("live_mops", s.live_mops)
         .Key("mops_per_query")
         .Double(s.mops_per_query, 4)
+        .EndObject();
+  }
+  w.EndArray();
+  w.KV("remove_pairs", kRemovePairs)
+      .Key("remove_flatness_ratio")
+      .Double(remove_flatness, 4);
+  w.Key("remove_checkpoints").BeginArray();
+  for (const RemoveRow& r : removes) {
+    w.BeginObject()
+        .KV("n", r.n)
+        .Key("mean_us")
+        .Double(r.mean_us, 3)
+        .Key("p50_us")
+        .Double(r.p50_us, 3)
+        .Key("p90_us")
+        .Double(r.p90_us, 3)
+        .Key("fresh_p50_us")
+        .Double(r.fresh_p50_us, 3)
+        .Key("standing_p50_us")
+        .Double(r.standing_p50_us, 3)
         .EndObject();
   }
   w.EndArray();

@@ -9,9 +9,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/json_writer.h"
+#include "common/metrics.h"
 #include "workload/harness.h"
 #include "workload/workloads.h"
 
@@ -28,6 +31,22 @@ inline bool WriteReport(const char* path, const std::string& content) {
   std::fclose(f);
   std::printf("# wrote %s\n", path);
   return true;
+}
+
+// The `host` block of a report: where and how the numbers were measured.
+inline void WriteHost(JsonWriter& w) {
+  w.Key("host")
+      .BeginObject()
+      .KV("nproc", static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .KV("compiler", __VERSION__)
+#ifdef NDEBUG
+      .KV("assertions", false)
+#else
+      .KV("assertions", true)
+#endif
+      .KV("metrics", RUMOR_METRICS_ENABLED != 0)
+      .KV("failpoints", RUMOR_FAILPOINTS_ENABLED != 0)
+      .EndObject();
 }
 
 struct Scale {

@@ -1,6 +1,5 @@
 #include "api/stream_engine.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "common/json_writer.h"
@@ -21,8 +20,9 @@ int64_t TickerNowNs() {
 }  // namespace
 
 // Routes output-stream tuples to the per-query handler. One stream may
-// serve several (CSE-merged) queries. StreamIds are small and contiguous,
-// so routes live in a dense StreamId-indexed table.
+// serve several (CSE-merged) queries; the handler sees them in no
+// particular order. StreamIds are small and contiguous, so routes live in a
+// dense StreamId-indexed table.
 class StreamEngine::HandlerSink : public OutputSink {
  public:
   void Bind(StreamId stream, std::string query_name) {
@@ -32,17 +32,24 @@ class StreamEngine::HandlerSink : public OutputSink {
     // The counter is resolved once here (counts_ nodes are stable), so the
     // per-output path never hashes the query name.
     int64_t* counter = &counts_[query_name];
-    routes_[stream].push_back(Route{std::move(query_name), counter});
+    std::vector<Route>& routes = routes_[stream];
+    route_of_[query_name] = {stream, static_cast<int>(routes.size())};
+    routes.push_back(Route{std::move(query_name), counter});
   }
   // Stops routing to `query_name` (RemoveQuery); delivered counts persist.
+  // O(1): the stream's last route takes the removed one's place.
   void Unbind(const std::string& query_name) {
-    for (std::vector<Route>& routes : routes_) {
-      routes.erase(std::remove_if(routes.begin(), routes.end(),
-                                  [&](const Route& r) {
-                                    return r.name == query_name;
-                                  }),
-                   routes.end());
+    auto it = route_of_.find(query_name);
+    if (it == route_of_.end()) return;
+    const auto [stream, pos] = it->second;
+    route_of_.erase(it);
+    std::vector<Route>& routes = routes_[stream];
+    RUMOR_CHECK(routes[pos].name == query_name);
+    if (pos + 1 != static_cast<int>(routes.size())) {
+      routes[pos] = std::move(routes.back());
+      route_of_[routes[pos].name].pos = pos;
     }
+    routes.pop_back();
   }
   void SetHandler(const OutputHandler* handler) { handler_ = handler; }
   // Engine-owned running total of routed results (read by the ticker).
@@ -73,7 +80,12 @@ class StreamEngine::HandlerSink : public OutputSink {
     std::string name;
     int64_t* count;  // into counts_ (node-stable)
   };
+  struct RoutePos {
+    StreamId stream;
+    int pos;  // index in routes_[stream]
+  };
   std::vector<std::vector<Route>> routes_;  // by StreamId
+  std::unordered_map<std::string, RoutePos> route_of_;  // by query name
   std::unordered_map<std::string, int64_t> counts_;
   const OutputHandler* handler_ = nullptr;
   std::atomic<int64_t>* total_ = nullptr;  // set before any OnOutput
@@ -124,11 +136,30 @@ Status StreamEngine::AddQueryWithText(Query query, std::string text) {
         StrCat("query '", query.name, "' already exists"));
   }
   if (started()) return AddQueryLive(std::move(query), std::move(text));
+  AppendQuery(std::move(query), std::move(text));
+  return Status::OK();
+}
+
+void StreamEngine::AppendQuery(Query query, std::string text) {
   catalog_.AddQuery(query);
   query_index_[ToLower(query.name)] = static_cast<int>(queries_.size());
   queries_.push_back(std::move(query));
   query_texts_.push_back(std::move(text));
-  return Status::OK();
+}
+
+void StreamEngine::CompactQueries() {
+  size_t kept = 0;
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    if (queries_[i].root == nullptr) continue;  // tombstone
+    if (kept != i) {
+      queries_[kept] = std::move(queries_[i]);
+      query_texts_[kept] = std::move(query_texts_[i]);
+    }
+    query_index_[ToLower(queries_[kept].name)] = static_cast<int>(kept);
+    ++kept;
+  }
+  queries_.resize(kept);
+  query_texts_.resize(kept);
 }
 
 Status StreamEngine::AddQueryText(const std::string& rql,
@@ -191,10 +222,7 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
     RUMOR_CHECK(out.has_value());
     sink_->Bind(*out, query.name);
     RefreshSourceIds();
-    catalog_.AddQuery(query);
-    query_index_[ToLower(query.name)] = static_cast<int>(queries_.size());
-    queries_.push_back(std::move(query));
-    query_texts_.push_back(std::move(text));
+    AppendQuery(std::move(query), std::move(text));
     return Status::OK();
   }
   if (executor_->busy()) {
@@ -229,18 +257,25 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
   sink_->Bind(*out, query.name);
   executor_->Refresh();  // validates the plan
   RefreshSourceIds();
-  catalog_.AddQuery(query);
-  query_index_[ToLower(query.name)] = static_cast<int>(queries_.size());
-  queries_.push_back(std::move(query));
-  query_texts_.push_back(std::move(text));
+  AppendQuery(std::move(query), std::move(text));
   return Status::OK();
 }
 
+namespace {
+// Unmarks `name`'s output and prunes what only that output kept alive.
+PruneStats UnshareQuery(Plan* plan, const std::string& name) {
+  const std::optional<StreamId> out = plan->OutputStreamOf(name);
+  RUMOR_CHECK(out.has_value() && plan->UnmarkOutput(name));
+  return PruneUnreachable(plan, *out);
+}
+}  // namespace
+
 Status StreamEngine::RemoveQuery(const std::string& name) {
-  int index = FindQuery(name);
-  if (index < 0) {
+  auto entry = query_index_.find(ToLower(name));
+  if (entry == query_index_.end()) {
     return Status::NotFound(StrCat("no query named '", name, "'"));
   }
+  const int index = entry->second;
   // The lookup is case-insensitive; the plan and sink know the query by its
   // registered spelling.
   const std::string canonical = queries_[index].name;
@@ -251,8 +286,7 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
     std::vector<PruneStats> pruned(sharded_->num_shards());
     Status st = sharded_->MutateShards(
         [&](int shard, Plan& plan, Executor& exec) -> Status {
-          RUMOR_CHECK(plan.UnmarkOutput(canonical));
-          pruned[shard] = PruneUnreachable(&plan);
+          pruned[shard] = UnshareQuery(&plan, canonical);
           // Keep the share index current (O(delta)) so a long removal run
           // cannot outgrow the plan's event log between adds.
           if (shard < static_cast<int>(shard_indexes_.size()) &&
@@ -268,15 +302,15 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
     stats_.pruned_mops += pruned[0].removed_mops;
     stats_.pruned_members +=
         pruned[0].pruned_index_members + pruned[0].deactivated_members;
+    stats_.pruned_visited_mops += pruned[0].visited_mops;
   } else if (started()) {
     if (executor_->busy()) {
       return Status::Internal("cannot remove queries from inside a push");
     }
-    RUMOR_CHECK(plan_.UnmarkOutput(canonical));
     sink_->Unbind(canonical);
-    // Reference-counted unsharing: tear down exactly what no surviving
-    // query reaches.
-    PruneStats pruned = PruneUnreachable(&plan_);
+    // Cone-local unsharing: tear down exactly what no surviving query
+    // reaches.
+    PruneStats pruned = UnshareQuery(&plan_, canonical);
     // Keep the share index current (O(delta)) so a long removal run cannot
     // outgrow the plan's event log between adds.
     if (share_index_ != nullptr) share_index_->Sync();
@@ -284,23 +318,26 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
     stats_.pruned_mops += pruned.removed_mops;
     stats_.pruned_members +=
         pruned.pruned_index_members + pruned.deactivated_members;
+    stats_.pruned_visited_mops += pruned.visited_mops;
     executor_->Refresh();  // validates the plan
   }
-  queries_.erase(queries_.begin() + index);
-  query_texts_.erase(query_texts_.begin() + index);
+  // Leave a tombstone so no later index shifts; compacting once tombstones
+  // outnumber live queries keeps removal amortized O(1) and preserves the
+  // add order that Checkpoint writes.
   catalog_.Remove(canonical);
-  // Shift the name index in place (values only — no rehash of the
-  // surviving names).
-  query_index_.erase(ToLower(canonical));
-  for (auto& [unused_name, i] : query_index_) {
-    if (i > index) --i;
-  }
+  query_index_.erase(entry);
+  queries_[index] = Query{};
+  query_texts_[index] = std::string();
+  if (queries_.size() > 2 * query_index_.size()) CompactQueries();
   return Status::OK();
 }
 
 Status StreamEngine::Start() {
   if (started()) return Status::Internal("engine already started");
-  if (queries_.empty()) return Status::InvalidArgument("no queries added");
+  if (num_queries() == 0) {
+    return Status::InvalidArgument("no queries added");
+  }
+  CompactQueries();
   if (shard_count_ > 1) {
     sink_ = std::make_unique<HandlerSink>();
     sink_->SetHandler(&handler_);
@@ -446,7 +483,7 @@ Status StreamEngine::Checkpoint(std::string* out) const {
     return Status::Internal("cannot checkpoint from inside a push");
   }
   for (size_t i = 0; i < queries_.size(); ++i) {
-    if (query_texts_[i].empty()) {
+    if (queries_[i].root != nullptr && query_texts_[i].empty()) {
       return Status::InvalidArgument(
           StrCat("query '", queries_[i].name,
                  "' was added as a logical object; checkpoint requires "
@@ -481,8 +518,9 @@ Status StreamEngine::Checkpoint(std::string* out) const {
   }
   {
     SnapshotWriter w;
-    w.U32(static_cast<uint32_t>(queries_.size()));
+    w.U32(static_cast<uint32_t>(num_queries()));
     for (size_t i = 0; i < queries_.size(); ++i) {
+      if (queries_[i].root == nullptr) continue;  // tombstone
       w.Str(queries_[i].name);
       w.Str(query_texts_[i]);
       w.I64(OutputCount(queries_[i].name));
@@ -524,7 +562,7 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   if (started()) {
     return Status::Internal("restore requires a not-yet-started engine");
   }
-  if (!queries_.empty() || !sources_.empty()) {
+  if (num_queries() > 0 || !sources_.empty()) {
     return Status::Internal("restore requires an empty engine");
   }
 
@@ -748,6 +786,7 @@ EngineMetrics StreamEngine::CollectMetrics() const {
     SetDataPlaneCounters(&em, totals);
     em.queries = num_queries();
     for (const Query& q : queries_) {
+      if (q.root == nullptr) continue;  // tombstone
       em.query_rows.push_back({q.name, OutputCount(q.name)});
     }
     return em;
@@ -760,6 +799,7 @@ EngineMetrics StreamEngine::CollectMetrics() const {
   // caller gets empty query_rows.
   em.queries = num_queries();
   for (const Query& q : queries_) {
+    if (q.root == nullptr) continue;  // tombstone
     em.query_rows.push_back({q.name, OutputCount(q.name)});
   }
   return em;

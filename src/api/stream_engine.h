@@ -146,7 +146,7 @@ class StreamEngine {
 
   // --- observability -----------------------------------------------------------
   bool started() const { return executor_ != nullptr || sharded_ != nullptr; }
-  int num_queries() const { return static_cast<int>(queries_.size()); }
+  int num_queries() const { return static_cast<int>(query_index_.size()); }
   // Cumulative: Start()-time merge counts plus the dynamic_* /
   // incremental_* fields maintained by live AddQuery/RemoveQuery.
   const OptimizeStats& optimize_stats() const { return stats_; }
@@ -200,6 +200,9 @@ class StreamEngine {
     return share_index_.get();
   }
   Plan* mutable_plan_for_testing() { return &plan_; }
+  // The plan queries run against: shard 0's replica when sharded (read it
+  // only between engine calls, while no push is in flight).
+  const Plan& plan_for_testing() const { return ActivePlan(); }
 
  private:
   class HandlerSink;
@@ -213,6 +216,10 @@ class StreamEngine {
   Status AddQueryWithText(Query query, std::string text);
   // Compiles + incrementally merges a query into the running plan.
   Status AddQueryLive(Query query, std::string text);
+  // Registers an accepted query at the end of queries_.
+  void AppendQuery(Query query, std::string text);
+  // Squeezes RemoveQuery's tombstones out of queries_, keeping add order.
+  void CompactQueries();
   // Re-derives the source name -> stream id table from the plan.
   void RefreshSourceIds();
   // The plan queries run against: shard 0's replica when sharded (callers
@@ -222,6 +229,8 @@ class StreamEngine {
   OptimizerOptions options_;
   MetricsOptions metrics_options_;
   Catalog catalog_;
+  // Queries in add order. A removed query leaves a tombstone (a Query
+  // with no root) until CompactQueries runs; skip those when iterating.
   std::vector<Query> queries_;
   // RQL source of queries_[i] ("" when added as a logical object); restore
   // re-parses these, so Checkpoint requires them to be non-empty.
@@ -234,8 +243,9 @@ class StreamEngine {
     int sharable_label = -1;
   };
   std::vector<RegisteredSource> sources_;
-  // Lowercase query name -> index in queries_. O(1) FindQuery — a linear
-  // rescan per Add/Remove was quadratic over large standing populations.
+  // Lowercase live query name -> index in queries_. O(1) FindQuery — a
+  // linear rescan per Add/Remove was quadratic over large standing
+  // populations.
   std::unordered_map<std::string, int> query_index_;
   OutputHandler handler_;
 

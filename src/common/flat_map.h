@@ -4,7 +4,7 @@
 // Mix64, a power-of-two mask, and a short linear probe over a dense array,
 // instead of library hashing, modulo, and node chasing.
 //
-// Insert-only (the m-rule targets only ever add members); no erase, no
+// Insert and erase (predicate indexes retire members in place); no
 // iteration. Not a general-purpose container.
 #ifndef RUMOR_COMMON_FLAT_MAP_H_
 #define RUMOR_COMMON_FLAT_MAP_H_
@@ -37,6 +37,26 @@ class FlatInt64Map {
     if (slots_.empty()) return -1;
     const Slot* slot = FindSlot(slots_.data(), capacity(), key);
     return slot->value;
+  }
+
+  // Removes `key` if present. Backward-shift deletion leaves no tombstones,
+  // so probe runs stay as short as under insert-only use.
+  void Erase(int64_t key) {
+    if (slots_.empty()) return;
+    const size_t mask = capacity() - 1;
+    Slot* hole = FindSlot(slots_.data(), capacity(), key);
+    if (hole->value < 0) return;
+    --size_;
+    size_t i = static_cast<size_t>(hole - slots_.data());
+    for (size_t j = (i + 1) & mask; slots_[j].value >= 0; j = (j + 1) & mask) {
+      // Slot j may fill the hole unless its home lies cyclically in (i, j].
+      const size_t home = Mix64(static_cast<uint64_t>(slots_[j].key)) & mask;
+      if (((j - home) & mask) >= ((j - i) & mask)) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i].value = -1;
   }
 
   size_t size() const { return size_; }

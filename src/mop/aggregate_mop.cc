@@ -77,7 +77,7 @@ bool AggregateMop::CanAttach(const Member& m) const {
          m.spec.attr == first.spec.attr && m.spec.window > 0;
 }
 
-AggregateMop::AttachResult AggregateMop::AttachMember(const Member& m) {
+MemberAttach AggregateMop::AttachMember(const Member& m) {
   RUMOR_CHECK(CanAttach(m));
   if (sharing_ == Sharing::kIsolated) {
     sharing_ = Sharing::kShared;
@@ -108,6 +108,13 @@ bool AggregateMop::member_active(int i) const {
   RUMOR_DCHECK(i >= 0 && i < num_members());
   return sharing_ == Sharing::kIsolated ? engines_[i] != nullptr
                                         : engines_[0]->member_active(i);
+}
+
+int AggregateMop::num_active_members() const {
+  if (sharing_ != Sharing::kIsolated) return engines_[0]->num_active_members();
+  return static_cast<int>(
+      std::count_if(engines_.begin(), engines_.end(),
+                    [](const auto& engine) { return engine != nullptr; }));
 }
 
 void AggregateMop::Process(int input_port, const ChannelTuple& ct,

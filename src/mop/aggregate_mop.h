@@ -56,15 +56,12 @@ class AggregateMop : public Mop {
   // case the slot's output port keeps its existing channel binding and the
   // caller routes the new query onto that channel; otherwise the output
   // ports grow by one and the caller binds the new port.
-  struct AttachResult {
-    int member = -1;
-    bool reused_slot = false;
-  };
-  AttachResult AttachMember(const Member& m);
+  MemberAttach AttachMember(const Member& m);
   // Deactivates a member whose query was removed; its port stays bound but
   // the member no longer computes or emits, and its state is released.
   void DeactivateMember(int i);
-  bool member_active(int i) const;
+  bool member_active(int i) const override;
+  int num_active_members() const override;
 
   // Size of the shared entry log (for tests/ablation; isolated mode sums
   // per-member logs).

@@ -61,6 +61,14 @@ class Emitter {
   virtual void Emit(int output_port, ChannelTuple tuple) = 0;
 };
 
+// Outcome of attaching a member to a shared m-op: the member index, and
+// whether a retired slot was reused (its output port keeps its channel)
+// rather than a new port grown.
+struct MemberAttach {
+  int member = -1;
+  bool reused_slot = false;
+};
+
 class Mop {
  public:
   Mop(MopType type, int num_inputs, int num_outputs)
@@ -81,6 +89,12 @@ class Mop {
   // not input identity). Two operators are mergeable by a c-rule only if
   // these match.
   virtual uint64_t MemberSignature(int i) const = 0;
+  // Whether member `i` serves a query. Shared m-ops retire a removed
+  // query's member in place: the slot keeps its output port and can be
+  // reused by a later attach, but it neither computes nor emits.
+  virtual bool member_active(int /*i*/) const { return true; }
+  // Members in use (num_members() minus retired slots). O(1).
+  virtual int num_active_members() const { return num_members(); }
 
   // Processes one tuple arriving on `input_port`.
   virtual void Process(int input_port, const ChannelTuple& tuple,

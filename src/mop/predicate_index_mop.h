@@ -17,6 +17,8 @@
 #ifndef RUMOR_MOP_PREDICATE_INDEX_MOP_H_
 #define RUMOR_MOP_PREDICATE_INDEX_MOP_H_
 
+#include <functional>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -34,6 +36,10 @@ class PredicateIndexMop : public Mop {
 
   int num_members() const override {
     return static_cast<int>(members_.size());
+  }
+  bool member_active(int i) const override { return places_[i].active; }
+  int num_active_members() const override {
+    return num_members() - static_cast<int>(free_slots_.size());
   }
   uint64_t MemberSignature(int i) const override {
     return members_[i].Signature();
@@ -55,11 +61,22 @@ class PredicateIndexMop : public Mop {
   static void SetFlatProbeEnabled(bool enabled);
   static bool flat_probe_enabled();
 
-  // Adds a member selection (online query churn: a new query's σ snaps onto
-  // the warm index). Selections are stateless, so this is always safe; in
-  // per-member-ports mode the output port count grows by one. Returns the
-  // new member index.
-  int AddMember(SelectionDef def);
+  // --- dynamic membership (online query churn) -------------------------------
+  // Adds a member selection (a new query's σ snaps onto the warm index).
+  // Selections are stateless, so this is always safe. The lowest retired
+  // slot is reused when one exists — its output port keeps its channel
+  // binding and the caller routes the new query onto that channel —
+  // otherwise the member set (and, per-member-ports, the port count) grows
+  // by one. O(1) apart from compiling the predicate.
+  MemberAttach AttachMember(SelectionDef def);
+  // Retires member `i` (its query was removed): unlinks it from its hash
+  // bucket, flat table or sequential list in O(bucket) so it never matches
+  // again; the port stays bound until an attach reuses the slot.
+  void DeactivateMember(int i);
+  // Lowest retired member slot, or -1. O(1).
+  int FindInactiveMember() const {
+    return free_slots_.empty() ? -1 : free_slots_.top();
+  }
 
   void Process(int input_port, const ChannelTuple& tuple,
                Emitter& out) override;
@@ -70,6 +87,8 @@ class PredicateIndexMop : public Mop {
     constexpr int64_t kNodeOverhead = 48;  // unordered_map node estimate
     int64_t b = 0;
     for (const auto& index : indexes_) {
+      b += static_cast<int64_t>(index.bucket_keys.capacity() *
+                                sizeof(int64_t));
       for (const auto& [key, bucket] : index.by_constant) {
         b += kNodeOverhead + static_cast<int64_t>(sizeof(key)) +
              static_cast<int64_t>(bucket.capacity() * sizeof(IndexedMember));
@@ -80,12 +99,20 @@ class PredicateIndexMop : public Mop {
     }
     b += static_cast<int64_t>(sequential_.capacity() *
                               sizeof(SequentialMember));
+    b += static_cast<int64_t>(places_.capacity() * sizeof(MemberPlace));
     return b;
   }
 
  private:
   // Routes member `i` into the hash indexes or the sequential list.
   void IndexMember(int i);
+  // Where member `i` is linked, so retiring it touches only that spot.
+  struct MemberPlace {
+    bool active = true;
+    int index = -1;     // position in indexes_, or -1 when sequential
+    int seq_pos = -1;   // position in sequential_ (sequential members)
+    Value constant;     // probed constant (indexed members)
+  };
   struct IndexedMember {
     int member;
     Program residual;   // empty => unconditional on probe hit
@@ -99,6 +126,7 @@ class PredicateIndexMop : public Mop {
     bool all_int = true;
     FlatInt64Map flat;
     std::vector<const std::vector<IndexedMember>*> buckets;
+    std::vector<int64_t> bucket_keys;  // parallel to buckets
   };
   struct SequentialMember {
     int member;
@@ -123,6 +151,9 @@ class PredicateIndexMop : public Mop {
   void MatchTuple(const ChannelTuple& ct);
 
   std::vector<SelectionDef> members_;
+  std::vector<MemberPlace> places_;  // parallel to members_
+  // Retired member slots, lowest first (the next attach reuses the top).
+  std::priority_queue<int, std::vector<int>, std::greater<int>> free_slots_;
   std::vector<AttrIndex> indexes_;
   std::vector<SequentialMember> sequential_;
   int num_indexed_ = 0;

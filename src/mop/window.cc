@@ -198,21 +198,17 @@ int SharedAggEngine::AddMember(const AggMemberSpec& spec) {
 
 void SharedAggEngine::DeactivateMember(int member) {
   RUMOR_DCHECK(member >= 0 && member < num_members());
+  RUMOR_CHECK(active_[member]) << "member already deactivated";
   active_[member] = 0;
+  free_slots_.push(member);
   states_[member].groups.clear();
   states_[member].cursor = base_ + static_cast<int64_t>(entries_.size());
 }
 
-int SharedAggEngine::FindInactiveMember() const {
-  for (int m = 0; m < num_members(); ++m) {
-    if (!active_[m]) return m;
-  }
-  return -1;
-}
-
 int SharedAggEngine::ReuseMember(int member, const AggMemberSpec& spec) {
   RUMOR_CHECK(member >= 0 && member < num_members());
-  RUMOR_CHECK(!active_[member]) << "slot is still in use";
+  RUMOR_CHECK(member == FindInactiveMember()) << "reuse the lowest free slot";
+  free_slots_.pop();
   RUMOR_CHECK(spec.fn == members_[0].fn && spec.attr == members_[0].attr)
       << "shared aggregation requires identical fn and attribute";
   RUMOR_CHECK(spec.window > 0) << "aggregate window must be positive";

@@ -15,6 +15,7 @@
 
 #include <deque>
 #include <functional>
+#include <queue>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -295,9 +296,14 @@ class SharedAggEngine {
   // member set without bound.
   void DeactivateMember(int member);
   bool member_active(int member) const { return active_[member] != 0; }
-  // Index of a deactivated member slot, or -1.
-  int FindInactiveMember() const;
-  // Re-arms the deactivated slot `member` with a (possibly different) spec
+  int num_active_members() const {
+    return num_members() - static_cast<int>(free_slots_.size());
+  }
+  // Lowest deactivated member slot, or -1. O(1).
+  int FindInactiveMember() const {
+    return free_slots_.empty() ? -1 : free_slots_.top();
+  }
+  // Re-arms the deactivated slot `member` (FindInactiveMember's) with a (possibly different) spec
   // under the same fn/attr discipline as AddMember, backfilling its state
   // from the retained log. Returns the number of backfilled entries.
   int ReuseMember(int member, const AggMemberSpec& spec);
@@ -359,6 +365,8 @@ class SharedAggEngine {
   std::vector<AggMemberSpec> members_;
   std::vector<MemberState> states_;
   std::vector<char> active_;  // parallel to members_; 0 = deactivated
+  // Deactivated slots, lowest first (ReuseMember takes the top).
+  std::priority_queue<int, std::vector<int>, std::greater<int>> free_slots_;
   std::deque<Entry> entries_;
   int64_t base_ = 0;
   int64_t max_window_ = 0;

@@ -99,7 +99,7 @@ EngineMetrics CollectEngineMetrics(const Plan& plan,
     row.id = id;
     row.name = mop.name();
     row.type = MopTypeName(mop.type());
-    row.members = mop.num_members();
+    row.members = mop.num_active_members();
     row.query_refs = refs[id];
     row.state_bytes = mop.StateBytes();
     row.m = mop.metrics();
@@ -107,7 +107,7 @@ EngineMetrics CollectEngineMetrics(const Plan& plan,
     em.mops.push_back(std::move(row));
 
     ++em.live_mops;
-    em.total_members += mop.num_members();
+    em.total_members += mop.num_active_members();
     if (refs[id] > 1) {
       ++em.shared_mops;
     } else {
@@ -271,6 +271,7 @@ std::string EngineMetrics::ToJson() const {
       .KV("incremental_rule_merges", optimize.incremental_rule_merges)
       .KV("pruned_mops", optimize.pruned_mops)
       .KV("pruned_members", optimize.pruned_members)
+      .KV("pruned_visited_mops", optimize.pruned_visited_mops)
       .EndObject();
   w.Key("fast_paths")
       .BeginObject()

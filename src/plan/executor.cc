@@ -156,12 +156,12 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
         dirty_streams.push_back(e.a);
         dirty_streams.push_back(e.b);
         break;
-      case PlanEvent::kMopAdded:     // bindings arrive as their own events
-      case PlanEvent::kMopRemoved:   // ditto (unbinds precede it)
-      case PlanEvent::kMopGrew:      // producer-side only
-      case PlanEvent::kMopMutated:   // member specs only, wiring untouched
-      case PlanEvent::kOutputBound:  // producer-side only
-      case PlanEvent::kChannelAdded: // fresh channel: default route is right
+      case PlanEvent::kMopAdded:       // bindings arrive as their own events
+      case PlanEvent::kMopRemoved:     // ditto (unbinds precede it)
+      case PlanEvent::kMopGrew:        // producer-side only
+      case PlanEvent::kMemberChanged:  // member specs only, wiring untouched
+      case PlanEvent::kOutputBound:    // producer-side only
+      case PlanEvent::kChannelAdded:   // fresh channel: default route is right
         break;
       case PlanEvent::kBulk:
         RUMOR_CHECK(false) << "bulk events take the full-rebuild path";

@@ -78,7 +78,7 @@ std::string ExplainAnalyze(const Plan& plan,
       if (p) os << ",";
       os << "ch" << outs[p];
     }
-    os << "]  queries=" << refs[id] << " members=" << mop.num_members()
+    os << "]  queries=" << refs[id] << " members=" << mop.num_active_members()
        << "\n";
     const MopMetrics& m = mop.metrics();
     os << "      in=" << m.tuples_in << " out=" << m.tuples_out;

@@ -59,25 +59,22 @@ ChannelId Plan::AddChannel(std::vector<StreamId> streams, Schema schema) {
   return id;
 }
 
+bool Plan::ChannelInUse(ChannelId id) const {
+  if (!channel_consumers_[id].empty()) return true;
+  for (StreamId s : channels_[id].streams()) {
+    if (OutputMarksOn(s) > 0) return true;
+  }
+  return false;
+}
+
 bool Plan::MaybeKillChannel(ChannelId id) {
   if (channel_dead_[id]) return false;
   if (ChannelPinned(id)) return false;
   if (channel_producer_[id].mop != kInvalidMop) return false;
-  if (!channel_consumers_[id].empty()) return false;
-  for (StreamId s : channels_[id].streams()) {
-    if (OutputMarksOn(s) > 0) return false;
-  }
+  if (ChannelInUse(id)) return false;
   channel_dead_[id] = 1;
   Emit(PlanEvent::kChannelKilled, id);
   return true;
-}
-
-int Plan::GcOrphanChannels() {
-  int collected = 0;
-  for (ChannelId c = 0; c < num_channels(); ++c) {
-    if (MaybeKillChannel(c)) ++collected;
-  }
-  return collected;
 }
 
 ChannelId Plan::SourceChannelOf(StreamId stream) {
@@ -127,7 +124,7 @@ MopId Plan::AddMop(std::unique_ptr<Mop> mop) {
   return id;
 }
 
-void Plan::RemoveMop(MopId id) {
+int Plan::RemoveMop(MopId id) {
   RUMOR_CHECK(IsLive(id));
   std::vector<ChannelId> touched = mop_inputs_[id];
   touched.insert(touched.end(), mop_outputs_[id].begin(),
@@ -153,9 +150,11 @@ void Plan::RemoveMop(MopId id) {
   // Collect channels this removal orphaned. Rules that reuse a removed
   // m-op's channels bind the replacement first, so those still have a
   // producer or consumers here and survive.
+  int collected = 0;
   for (ChannelId c : touched) {
-    if (c != kInvalidChannel) MaybeKillChannel(c);
+    if (c != kInvalidChannel && MaybeKillChannel(c)) ++collected;
   }
+  return collected;
 }
 
 std::vector<MopId> Plan::LiveMops() const {
@@ -221,9 +220,10 @@ int Plan::AddMopOutputPort(MopId mop, ChannelId channel) {
   return port;
 }
 
-void Plan::NotifyMopMutated(MopId mop) {
+void Plan::NotifyMemberChanged(MopId mop, int member) {
   RUMOR_CHECK(IsLive(mop));
-  Emit(PlanEvent::kMopMutated, mop);
+  RUMOR_CHECK(member >= 0 && member < mops_[mop]->num_members());
+  Emit(PlanEvent::kMemberChanged, mop, member);
 }
 
 ChannelId Plan::input_channel(MopId mop, int port) const {
@@ -250,74 +250,80 @@ std::optional<ChannelEnd> Plan::ProducerOf(ChannelId channel) const {
   return channel_producer_[channel];
 }
 
-void Plan::MarkOutput(StreamId stream, std::string query_name) {
-  int idx = static_cast<int>(outputs_.size());
-  if (!output_tables_dirty_) {
-    output_index_by_name_.emplace(query_name, idx);
-    output_indices_by_stream_[stream].push_back(idx);
+void Plan::LinkOutputToStream(int idx) {
+  const StreamId stream = outputs_[idx].stream;
+  if (stream >= static_cast<StreamId>(output_marks_by_stream_.size())) {
+    output_marks_by_stream_.resize(stream + 1);
   }
-  ++output_mark_counts_[stream];
+  std::vector<int>& list = output_marks_by_stream_[stream];
+  output_stream_pos_[idx] = static_cast<int>(list.size());
+  list.push_back(idx);
+}
+
+void Plan::UnlinkOutputFromStream(int idx) {
+  std::vector<int>& list = output_marks_by_stream_[outputs_[idx].stream];
+  const int pos = output_stream_pos_[idx];
+  RUMOR_DCHECK(list[pos] == idx);
+  list[pos] = list.back();
+  output_stream_pos_[list[pos]] = pos;
+  list.pop_back();
+}
+
+void Plan::MarkOutput(StreamId stream, std::string query_name) {
+  const int idx = static_cast<int>(outputs_.size());
+  RUMOR_CHECK(output_index_by_name_.emplace(query_name, idx).second)
+      << "query '" << query_name << "' already has an output mark";
   outputs_.push_back({stream, std::move(query_name)});
+  output_stream_pos_.push_back(-1);
+  LinkOutputToStream(idx);
   Emit(PlanEvent::kOutputMarked, stream);
 }
 
 bool Plan::UnmarkOutput(const std::string& query_name) {
-  for (auto it = outputs_.begin(); it != outputs_.end(); ++it) {
-    if (it->query_name == query_name) {
-      StreamId stream = it->stream;
-      auto count = output_mark_counts_.find(stream);
-      RUMOR_CHECK(count != output_mark_counts_.end() && count->second > 0);
-      if (--count->second == 0) output_mark_counts_.erase(count);
-      outputs_.erase(it);  // shifts later indices
-      output_tables_dirty_ = true;
-      Emit(PlanEvent::kOutputUnmarked, stream);
-      return true;
-    }
+  auto it = output_index_by_name_.find(query_name);
+  if (it == output_index_by_name_.end()) return false;
+  const int idx = it->second;
+  output_index_by_name_.erase(it);
+  const StreamId stream = outputs_[idx].stream;
+  UnlinkOutputFromStream(idx);
+  // The last mark moves into the freed index.
+  const int last = static_cast<int>(outputs_.size()) - 1;
+  if (idx != last) {
+    outputs_[idx] = std::move(outputs_[last]);
+    output_stream_pos_[idx] = output_stream_pos_[last];
+    output_marks_by_stream_[outputs_[idx].stream][output_stream_pos_[idx]] =
+        idx;
+    output_index_by_name_[outputs_[idx].query_name] = idx;
   }
-  return false;
-}
-
-void Plan::EnsureOutputTables() const {
-  if (!output_tables_dirty_) return;
-  output_index_by_name_.clear();
-  output_indices_by_stream_.clear();
-  for (int i = 0; i < static_cast<int>(outputs_.size()); ++i) {
-    // emplace keeps the first mark per name, matching the old linear scan.
-    output_index_by_name_.emplace(outputs_[i].query_name, i);
-    output_indices_by_stream_[outputs_[i].stream].push_back(i);
-  }
-  output_tables_dirty_ = false;
+  outputs_.pop_back();
+  output_stream_pos_.pop_back();
+  Emit(PlanEvent::kOutputUnmarked, stream);
+  return true;
 }
 
 std::optional<StreamId> Plan::OutputStreamOf(
     const std::string& query_name) const {
-  EnsureOutputTables();
   auto it = output_index_by_name_.find(query_name);
   if (it == output_index_by_name_.end()) return std::nullopt;
   return outputs_[it->second].stream;
 }
 
 int Plan::OutputMarksOn(StreamId stream) const {
-  auto it = output_mark_counts_.find(stream);
-  return it == output_mark_counts_.end() ? 0 : it->second;
+  return stream >= 0 &&
+                 stream < static_cast<StreamId>(output_marks_by_stream_.size())
+             ? static_cast<int>(output_marks_by_stream_[stream].size())
+             : 0;
 }
 
 void Plan::RemapOutput(StreamId from, StreamId to) {
   if (from == to) return;
-  EnsureOutputTables();
-  auto it = output_indices_by_stream_.find(from);
-  if (it == output_indices_by_stream_.end()) return;
-  std::vector<int> moved = std::move(it->second);
-  output_indices_by_stream_.erase(it);
+  if (OutputMarksOn(from) == 0) return;
+  std::vector<int> moved;
+  moved.swap(output_marks_by_stream_[from]);
   for (int idx : moved) {
     outputs_[idx].stream = to;
-    auto count = output_mark_counts_.find(from);
-    RUMOR_CHECK(count != output_mark_counts_.end() && count->second > 0);
-    if (--count->second == 0) output_mark_counts_.erase(count);
-    ++output_mark_counts_[to];
+    LinkOutputToStream(idx);
   }
-  auto& dst = output_indices_by_stream_[to];
-  dst.insert(dst.end(), moved.begin(), moved.end());
   Emit(PlanEvent::kOutputRemapped, from, to);
 }
 
@@ -373,9 +379,13 @@ void Plan::RebuildDerivedState() {
       if (c != kInvalidChannel) channel_producer_[c] = ChannelEnd{m, p};
     }
   }
-  output_mark_counts_.clear();
-  for (const OutputDef& def : outputs_) ++output_mark_counts_[def.stream];
-  output_tables_dirty_ = true;
+  output_index_by_name_.clear();
+  output_marks_by_stream_.assign(streams_.size(), {});
+  output_stream_pos_.assign(outputs_.size(), -1);
+  for (int i = 0; i < static_cast<int>(outputs_.size()); ++i) {
+    output_index_by_name_.emplace(outputs_[i].query_name, i);
+    LinkOutputToStream(i);
+  }
 }
 
 std::vector<int> Plan::QueryRefCounts() const {
@@ -391,7 +401,11 @@ std::vector<int> Plan::QueryRefCounts() const {
   std::vector<uint32_t> chan_stamp(num_channels(), 0);
   uint32_t stamp = 0;
   std::vector<ChannelId> worklist;
-  for (const auto& [stream, marks] : output_mark_counts_) {
+  for (StreamId stream = 0;
+       stream < static_cast<StreamId>(output_marks_by_stream_.size());
+       ++stream) {
+    const int marks = OutputMarksOn(stream);
+    if (marks == 0) continue;
     ++stamp;
     worklist.clear();
     for (ChannelId c : ChannelsOfStream(stream)) {
@@ -555,15 +569,31 @@ void Plan::Validate() const {
     RUMOR_CHECK(carried) << "output stream of query '" << def.query_name
                          << "' is not carried by any live channel";
   }
-  // Mark counts agree with outputs_.
+  // The output lookup tables agree with outputs_.
   {
     std::unordered_map<StreamId, int> expect;
     for (const OutputDef& def : outputs_) ++expect[def.stream];
-    RUMOR_CHECK(expect.size() == output_mark_counts_.size())
-        << "output mark count table drifted";
+    RUMOR_CHECK(static_cast<size_t>(std::count_if(
+                    output_marks_by_stream_.begin(),
+                    output_marks_by_stream_.end(),
+                    [](const std::vector<int>& marks) {
+                      return !marks.empty();
+                    })) == expect.size())
+        << "output mark table drifted";
     for (const auto& [s, n] : expect) {
       RUMOR_CHECK(OutputMarksOn(s) == n)
           << "output mark count drifted for stream " << s;
+    }
+    RUMOR_CHECK(output_index_by_name_.size() == outputs_.size())
+        << "output name table drifted";
+    for (int i = 0; i < static_cast<int>(outputs_.size()); ++i) {
+      const std::vector<int>& list =
+          output_marks_by_stream_[outputs_[i].stream];
+      RUMOR_CHECK(list[output_stream_pos_[i]] == i)
+          << "output mark " << i << " lost its stream position";
+      RUMOR_CHECK(output_index_by_name_.at(outputs_[i].query_name) == i)
+          << "output name table drifted for '" << outputs_[i].query_name
+          << "'";
     }
   }
   // Each channel has at most one producer port, dead channels are fully

@@ -62,7 +62,8 @@ struct PlanEvent {
     kOutputMarked,    // a = stream
     kOutputUnmarked,  // a = stream
     kOutputRemapped,  // a = from stream, b = to stream
-    kMopMutated,      // a = mop — in-place member redefinition, no rewiring
+    kMemberChanged,   // a = mop, b = member — retired, or reused in place
+                      // with a new definition; wiring untouched
   };
   Kind kind;
   int32_t a = -1;
@@ -92,10 +93,9 @@ class Plan {
     RUMOR_DCHECK(id >= 0 && id < num_channels());
     return channel_dead_[id];
   }
-  // Marks every orphaned channel dead (see channel_dead); returns the number
-  // of channels newly collected. RemoveMop collects its own former channels;
-  // this sweep catches the rest after bulk teardown.
-  int GcOrphanChannels();
+  // True while something reads the channel: a consumer port, or an output
+  // mark on one of its streams. O(capacity).
+  bool ChannelInUse(ChannelId id) const;
   // The capacity-1 channel of a source stream (created on first use).
   ChannelId SourceChannelOf(StreamId stream);
   std::optional<ChannelId> FindSourceChannel(StreamId stream) const;
@@ -112,7 +112,8 @@ class Plan {
   // Tombstones the m-op, clears its bindings, and garbage-collects channels
   // the removal orphaned (no producer, no consumers, no output stream, not
   // externally fed) so later passes cannot trip on dangling subscriptions.
-  void RemoveMop(MopId id);
+  // Returns the number of channels collected.
+  int RemoveMop(MopId id);
   bool IsLive(MopId id) const {
     return id >= 0 && id < num_mops() && mops_[id] != nullptr;
   }
@@ -135,11 +136,11 @@ class Plan {
   // the larger num_outputs(), e.g. after AddMember on a warm shared m-op);
   // returns the new port index.
   int AddMopOutputPort(MopId mop, ChannelId channel);
-  // Publishes that `mop` redefined one of its members in place (e.g. a
-  // shared aggregate reusing a deactivated slot for a new spec). Wiring is
-  // untouched, but member signatures may have changed, so signature-keyed
-  // consumers of the event log must re-derive the m-op.
-  void NotifyMopMutated(MopId mop);
+  // Publishes that `mop` retired `member` in place, or reused a retired
+  // slot for a new definition. Wiring is untouched, but the member's
+  // signature and liveness changed, so signature-keyed consumers of the
+  // event log must re-derive that member.
+  void NotifyMemberChanged(MopId mop, int member);
   ChannelId input_channel(MopId mop, int port) const;
   ChannelId output_channel(MopId mop, int port) const;
   const std::vector<ChannelId>& input_channels(MopId mop) const {
@@ -159,8 +160,7 @@ class Plan {
   // O(#consumers of `from`).
   void MoveConsumers(ChannelId from, ChannelId to);
   // Re-points query-output marks from one stream to another (CSE dedup).
-  // O(#marks on `from`) while no UnmarkOutput intervened (amortized by a
-  // lazily rebuilt stream -> marks table otherwise).
+  // O(#marks on `from`).
   void RemapOutput(StreamId from, StreamId to);
   // Producer-less channels of capacity > 1 encoding only source streams
   // (created by the channel rule over sharable sources; fed directly via
@@ -172,14 +172,17 @@ class Plan {
     StreamId stream;
     std::string query_name;
   };
+  // Query names are unique within a plan (the engine enforces it).
   void MarkOutput(StreamId stream, std::string query_name);
+  // All marks, in no particular order once UnmarkOutput has run.
   const std::vector<OutputDef>& outputs() const { return outputs_; }
   // Removes the output mark of `query_name`; returns false if absent. Other
-  // queries sharing the same stream keep their marks.
+  // queries sharing the same stream keep their marks. O(1): the last mark
+  // takes the removed one's place.
   bool UnmarkOutput(const std::string& query_name);
   // Current output stream of a query (CSE may remap streams after
   // compilation, so use this rather than a compile-time CompiledQuery).
-  // Amortized O(1) via the lazily rebuilt name -> mark table.
+  // O(1).
   std::optional<StreamId> OutputStreamOf(const std::string& query_name) const;
   // Number of output marks on `stream`. O(1).
   int OutputMarksOn(StreamId stream) const;
@@ -211,8 +214,8 @@ class Plan {
   // How many *distinct* query outputs reach each m-op / channel, saturated
   // at 2: 0 = unreachable from any surviving output (prunable), 1 = serves
   // exactly one query, 2 = shared by two or more. One O(plan + outputs)
-  // backward pass over the DAG — this is what RemoveQuery unsharing and the
-  // sharing-quality snapshot use instead of the per-query refcount walk.
+  // backward pass over the DAG — the sharing-quality snapshot uses it, and
+  // tests use it as the oracle for RemoveQuery's cone-local unsharing.
   struct OutputReach {
     std::vector<uint8_t> mops;      // by MopId
     std::vector<uint8_t> channels;  // by ChannelId
@@ -243,12 +246,13 @@ class Plan {
   void Emit(PlanEvent::Kind kind, int32_t a, int32_t b = -1, int32_t c = -1);
   // Drops (mop, port) from `channel`'s consumer list.
   void EraseConsumer(ChannelId channel, MopId mop, int port);
-  // Recomputes adjacency, pinned flags, stream tables and mark counts from
-  // the primary representation (RollbackTo).
+  // Recomputes adjacency, pinned flags, stream tables and output-mark
+  // tables from the primary representation (RollbackTo).
   void RebuildDerivedState();
-  // Lazily rebuilds the output-mark lookup tables (invalidated by
-  // UnmarkOutput, which shifts mark indices).
-  void EnsureOutputTables() const;
+  // Appends output mark `idx` to its stream's mark list.
+  void LinkOutputToStream(int idx);
+  // Removes output mark `idx` from its stream's mark list. O(1).
+  void UnlinkOutputFromStream(int idx);
 
   StreamRegistry streams_;
   std::vector<ChannelDef> channels_;
@@ -265,13 +269,12 @@ class Plan {
   std::vector<std::vector<ChannelId>> stream_channels_;  // by stream id
   std::vector<std::pair<StreamId, ChannelId>> source_channels_;
   std::vector<OutputDef> outputs_;
-  // Output-mark count per stream (exact, eagerly maintained — the O(1)
-  // "does any query read this stream" test).
-  std::unordered_map<StreamId, int> output_mark_counts_;
-  // Lazily rebuilt lookup into outputs_ (indices shift on UnmarkOutput).
-  mutable bool output_tables_dirty_ = false;
-  mutable std::unordered_map<std::string, int> output_index_by_name_;
-  mutable std::unordered_map<StreamId, std::vector<int>> output_indices_by_stream_;
+  // Lookups into outputs_, maintained eagerly. A stream's list size is its
+  // mark count (the O(1) "does any query read this stream" test).
+  std::unordered_map<std::string, int> output_index_by_name_;
+  std::vector<std::vector<int>> output_marks_by_stream_;  // by StreamId
+  // Parallel to outputs_: each mark's position in its stream's list.
+  std::vector<int> output_stream_pos_;
   int derived_counter_ = 0;
 
   // Bounded mutation log.

@@ -19,6 +19,25 @@ namespace rumor {
 
 namespace {
 
+// Wires a member just attached to warm target `target` in place of a fresh
+// m-op whose output channel is `fresh_out`. A reused retired slot keeps its
+// port and channel, so the fresh query's consumers and output mark move onto
+// them (and the in-place redefinition is published for signature-keyed log
+// consumers); a new slot binds `fresh_out` to the grown port.
+void WireAttachedMember(Plan* plan, MopId target, ChannelId fresh_out,
+                        MemberAttach res) {
+  if (!res.reused_slot) {
+    plan->AddMopOutputPort(target, fresh_out);
+    return;
+  }
+  plan->NotifyMemberChanged(target, res.member);
+  ChannelId slot_out = plan->output_channel(target, res.member);
+  StreamId fresh_stream = plan->channel(fresh_out).stream_at(0);
+  StreamId slot_stream = plan->channel(slot_out).stream_at(0);
+  plan->MoveConsumers(fresh_out, slot_out);
+  plan->RemapOutput(fresh_stream, slot_stream);
+}
+
 // Member-level CSE: a single-member m-op identical to a *member* of an
 // existing merged m-op on the same input channel(s) is redundant — the
 // member's output channel already carries exactly the tuples the newcomer
@@ -54,7 +73,10 @@ int MemberCse(Plan* plan) {
       if (!same_inputs) continue;
       int match = -1;
       for (int i = 0; i < t.num_members() && match < 0; ++i) {
-        if (t.MemberSignature(i) != m.MemberSignature(0)) continue;
+        if (!t.member_active(i) ||
+            t.MemberSignature(i) != m.MemberSignature(0)) {
+          continue;
+        }
         switch (shared_type) {
           case MopType::kPredicateIndex:
             if (static_cast<const SelectionMop&>(m).member(0).input_slot == 0) {
@@ -64,8 +86,7 @@ int MemberCse(Plan* plan) {
           case MopType::kSharedAggregate: {
             const auto& target = static_cast<const AggregateMop&>(t);
             const auto& fresh = static_cast<const AggregateMop&>(m);
-            if (target.member(i).input_slot == fresh.member(0).input_slot &&
-                target.member_active(i)) {
+            if (target.member(i).input_slot == fresh.member(0).input_slot) {
               match = i;
             }
             break;
@@ -128,10 +149,9 @@ int AttachSelections(Plan* plan) {
     if (sel.member(0).input_slot != 0) continue;
     auto it = index_by_input.find(plan->input_channel(id, 0));
     if (it == index_by_input.end() || it->second == id) continue;
-    ChannelId out = plan->output_channel(id, 0);
     auto& index = static_cast<PredicateIndexMop&>(plan->mop(it->second));
-    index.AddMember(sel.member(0).def);
-    plan->AddMopOutputPort(it->second, out);
+    WireAttachedMember(plan, it->second, plan->output_channel(id, 0),
+                       index.AttachMember(sel.member(0).def));
     plan->RemoveMop(id);
     ++attached;
   }
@@ -180,22 +200,8 @@ int AttachAggregates(Plan* plan) {
     if (it == target_by_key.end() || it->second == id) continue;
     auto& target = static_cast<AggregateMop&>(plan->mop(it->second));
     if (!target.CanAttach(agg.member(0))) continue;
-    ChannelId out = plan->output_channel(id, 0);
-    AggregateMop::AttachResult res = target.AttachMember(agg.member(0));
-    if (res.reused_slot) {
-      // The reactivated slot keeps its port and channel; route the new
-      // query's consumers and output mark onto them. The slot's member spec
-      // changed in place (no wiring event), so publish the mutation for
-      // signature-keyed log consumers.
-      plan->NotifyMopMutated(it->second);
-      ChannelId slot_out = plan->output_channel(it->second, res.member);
-      StreamId fresh_stream = plan->channel(out).stream_at(0);
-      StreamId slot_stream = plan->channel(slot_out).stream_at(0);
-      plan->MoveConsumers(out, slot_out);
-      plan->RemapOutput(fresh_stream, slot_stream);
-    } else {
-      plan->AddMopOutputPort(it->second, out);
-    }
+    WireAttachedMember(plan, it->second, plan->output_channel(id, 0),
+                       target.AttachMember(agg.member(0)));
     plan->RemoveMop(id);
     ++attached;
   }
@@ -213,7 +219,7 @@ std::string IncrementalMergeStats::ToString() const {
 
 std::string PruneStats::ToString() const {
   std::ostringstream os;
-  os << "PruneStats{mops=" << removed_mops
+  os << "PruneStats{visited=" << visited_mops << " mops=" << removed_mops
      << " index_members=" << pruned_index_members
      << " deactivated=" << deactivated_members
      << " channels=" << collected_channels << "}";
@@ -282,11 +288,9 @@ bool ApplyCandidate(Plan* plan, ShareIndex* index,
     }
     case ShareIndex::Candidate::kAttachSelection: {
       const auto& sel = static_cast<const SelectionMop&>(plan->mop(c.fresh));
-      SelectionDef def = sel.member(0).def;
-      ChannelId out = plan->output_channel(c.fresh, 0);
       auto& target = static_cast<PredicateIndexMop&>(plan->mop(c.target));
-      target.AddMember(std::move(def));
-      plan->AddMopOutputPort(c.target, out);
+      WireAttachedMember(plan, c.target, plan->output_channel(c.fresh, 0),
+                         target.AttachMember(sel.member(0).def));
       plan->RemoveMop(c.fresh);
       ++stats->attach_merges;
       return true;
@@ -296,20 +300,8 @@ bool ApplyCandidate(Plan* plan, ShareIndex* index,
       AggregateMop::Member member = fresh.member(0);
       auto& target = static_cast<AggregateMop&>(plan->mop(c.target));
       if (!target.CanAttach(member)) return false;
-      ChannelId out = plan->output_channel(c.fresh, 0);
-      AggregateMop::AttachResult res = target.AttachMember(member);
-      if (res.reused_slot) {
-        // In-place spec change on the reused slot: dirty the target so the
-        // index re-derives its member signatures.
-        plan->NotifyMopMutated(c.target);
-        ChannelId slot_out = plan->output_channel(c.target, res.member);
-        StreamId fresh_stream = plan->channel(out).stream_at(0);
-        StreamId slot_stream = plan->channel(slot_out).stream_at(0);
-        plan->MoveConsumers(out, slot_out);
-        plan->RemapOutput(fresh_stream, slot_stream);
-      } else {
-        plan->AddMopOutputPort(c.target, out);
-      }
+      WireAttachedMember(plan, c.target, plan->output_channel(c.fresh, 0),
+                         target.AttachMember(member));
       plan->RemoveMop(c.fresh);
       ++stats->attach_merges;
       return true;
@@ -425,75 +417,79 @@ IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
   return stats;
 }
 
-PruneStats PruneUnreachable(Plan* plan) {
+namespace {
+
+// True for per-member-port shared m-ops whose members retire in place
+// (σ-indexes and shared aggregates); other m-ops go only as a whole.
+bool HasMemberSlots(const Mop& m) {
+  switch (m.type()) {
+    case MopType::kPredicateIndex:
+      return static_cast<const PredicateIndexMop&>(m).output_mode() ==
+             OutputMode::kPerMemberPorts;
+    case MopType::kSharedAggregate:
+    case MopType::kFragmentAggregate:
+      return static_cast<const AggregateMop&>(m).output_mode() ==
+             OutputMode::kPerMemberPorts;
+    default:
+      return false;
+  }
+}
+
+// Retires member `i` of an m-op with member slots.
+void RetireMember(Plan* plan, MopId id, int i, PruneStats* stats) {
+  Mop& m = plan->mop(id);
+  if (m.type() == MopType::kPredicateIndex) {
+    static_cast<PredicateIndexMop&>(m).DeactivateMember(i);
+    ++stats->pruned_index_members;
+  } else {
+    static_cast<AggregateMop&>(m).DeactivateMember(i);
+    ++stats->deactivated_members;
+  }
+  plan->NotifyMemberChanged(id, i);
+}
+
+}  // namespace
+
+PruneStats PruneUnreachable(Plan* plan, StreamId removed_output) {
   PruneStats stats;
-  // One backward pass from the surviving query outputs answers both
-  // questions below: reach 0 on an m-op = no surviving output depends on it
-  // (remove); reach 0 on a channel = no surviving query reads it (its
-  // member slot can be dropped). O(plan + outputs) — the former per-query
-  // refcount walk plus per-output channel rescan was what made RemoveQuery
-  // quadratic on large plans. Removing unreachable m-ops cannot change the
-  // reach of anything else, so one snapshot serves both phases.
-  const Plan::OutputReach reach = plan->ComputeOutputReach();
-  for (MopId id : plan->LiveMops()) {
-    if (reach.mops[id] == 0) {
-      plan->RemoveMop(id);
-      ++stats.removed_mops;
+  // Backward walk from the channels that carried the removed output. A
+  // channel nothing reads any more releases its producer: a per-member-port
+  // shared m-op retires that one member (and goes once no member is left);
+  // any other m-op goes once none of its outputs is read. Tearing an m-op
+  // down un-reads its inputs, which continues the walk upstream. Every live
+  // m-op was reachable from some output before the remove, so the walk
+  // finds exactly what the removed output alone kept alive, and it stops at
+  // the first operator another query still reads.
+  std::vector<ChannelId> work = plan->ChannelsOfStream(removed_output);
+  std::vector<MopId> visited;
+  while (!work.empty()) {
+    const ChannelId c = work.back();
+    work.pop_back();
+    if (plan->channel_dead(c) || plan->ChannelInUse(c)) continue;
+    const std::optional<ChannelEnd> producer = plan->ProducerOf(c);
+    if (!producer.has_value()) continue;
+    const MopId id = producer->mop;
+    if (std::find(visited.begin(), visited.end(), id) == visited.end()) {
+      visited.push_back(id);
     }
-  }
-
-  // Member-level teardown on surviving shared m-ops.
-  const std::vector<uint8_t>& needed = reach.channels;
-  std::vector<MopId> index_rebuilds;
-  for (MopId id : plan->LiveMops()) {
-    Mop& m = plan->mop(id);
-    if (m.type() == MopType::kPredicateIndex) {
-      const auto& index = static_cast<const PredicateIndexMop&>(m);
-      if (index.output_mode() != OutputMode::kPerMemberPorts) continue;
-      bool all_needed = true;
-      for (int i = 0; i < index.num_members(); ++i) {
-        all_needed &= needed[plan->output_channel(id, i)] != 0;
-      }
-      if (!all_needed) index_rebuilds.push_back(id);
-    } else if (m.type() == MopType::kSharedAggregate ||
-               m.type() == MopType::kFragmentAggregate) {
-      auto& agg = static_cast<AggregateMop&>(m);
-      if (agg.output_mode() != OutputMode::kPerMemberPorts) continue;
-      for (int i = 0; i < agg.num_members(); ++i) {
-        if (!needed[plan->output_channel(id, i)] && agg.member_active(i)) {
-          agg.DeactivateMember(i);
-          ++stats.deactivated_members;
-        }
+    const Mop& m = plan->mop(id);
+    bool gone = true;
+    if (HasMemberSlots(m)) {
+      if (!m.member_active(producer->port)) continue;  // already retired
+      RetireMember(plan, id, producer->port, &stats);
+      gone = m.num_active_members() == 0;
+    } else {
+      for (ChannelId out : plan->output_channels(id)) {
+        gone &= !plan->ChannelInUse(out);
       }
     }
+    if (!gone) continue;
+    const std::vector<ChannelId> inputs = plan->input_channels(id);
+    stats.collected_channels += plan->RemoveMop(id);
+    ++stats.removed_mops;
+    work.insert(work.end(), inputs.begin(), inputs.end());
   }
-  // Predicate indexes are stateless: rebuild them without the members no
-  // surviving query reads.
-  for (MopId id : index_rebuilds) {
-    const auto& index = static_cast<const PredicateIndexMop&>(plan->mop(id));
-    std::vector<SelectionDef> defs;
-    std::vector<ChannelId> outs;
-    for (int i = 0; i < index.num_members(); ++i) {
-      ChannelId out = plan->output_channel(id, i);
-      if (!needed[out]) {
-        ++stats.pruned_index_members;
-        continue;
-      }
-      defs.push_back(index.member(i));
-      outs.push_back(out);
-    }
-    RUMOR_CHECK(!defs.empty()) << "fully unused index should have ref 0";
-    ChannelId input = plan->input_channel(id, 0);
-    MopId rebuilt = plan->AddMop(std::make_unique<PredicateIndexMop>(
-        std::move(defs), OutputMode::kPerMemberPorts));
-    plan->BindInput(rebuilt, 0, input);
-    for (size_t i = 0; i < outs.size(); ++i) {
-      plan->BindOutput(rebuilt, static_cast<int>(i), outs[i]);
-    }
-    plan->RemoveMop(id);
-  }
-
-  stats.collected_channels = plan->GcOrphanChannels();
+  stats.visited_mops = static_cast<int>(visited.size());
   return stats;
 }
 

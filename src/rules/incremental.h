@@ -35,11 +35,12 @@
 //     the churn equivalence fuzz asserts both paths produce byte-identical
 //     plans and outputs on the same add/remove sequences.
 //
-// PruneUnreachable implements the removal half: one backward output-reach
-// pass (Plan::ComputeOutputReach) drives teardown of exactly the operators
-// no surviving query reaches, stateless shared m-ops drop the members only
-// removed queries used, shared aggregation engines deactivate theirs, and
-// orphaned channels are garbage-collected.
+// PruneUnreachable implements the removal half: a backward walk from the
+// removed query's output channels tears down the operators only that query
+// read, retires its members of shared σ-indexes and shared aggregation
+// engines in place (a later attach reuses the slot), and collects the
+// channels it orphaned. It stops at the first operator another query still
+// reads, so a remove costs O(the query's own subplan), not O(plan).
 #ifndef RUMOR_RULES_INCREMENTAL_H_
 #define RUMOR_RULES_INCREMENTAL_H_
 
@@ -84,17 +85,21 @@ IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
                                            const OptimizerOptions& options);
 
 struct PruneStats {
+  int visited_mops = 0;          // distinct m-ops the walk examined
   int removed_mops = 0;          // m-ops no surviving query reaches
-  int pruned_index_members = 0;  // members dropped from stateless sσ targets
+  int pruned_index_members = 0;  // members retired from stateless sσ targets
   int deactivated_members = 0;   // shared-aggregate members deactivated
   int collected_channels = 0;    // channels garbage-collected
 
   std::string ToString() const;
 };
 
-// Tears down everything no surviving query output reaches. Call after
-// Plan::UnmarkOutput removed a query's output mark.
-PruneStats PruneUnreachable(Plan* plan);
+// Tears down everything that only the output stream `removed_output` kept
+// alive. Call after Plan::UnmarkOutput removed a query's output mark (a
+// no-op while another query still reads the stream). Assumes every live
+// m-op was reachable from some output before the mark went away, which
+// compiling and merging maintain.
+PruneStats PruneUnreachable(Plan* plan, StreamId removed_output);
 
 }  // namespace rumor
 

@@ -21,7 +21,8 @@ std::string OptimizeStats::ToString() const {
        << " inc_attach=" << incremental_attach_merges
        << " inc_rules=" << incremental_rule_merges
        << " pruned_mops=" << pruned_mops
-       << " pruned_members=" << pruned_members;
+       << " pruned_members=" << pruned_members
+       << " pruned_visited=" << pruned_visited_mops;
   }
   if (queries > 0) {
     os << " | sharing: " << queries << " queries -> " << live_mops
@@ -128,7 +129,7 @@ void FillSharingQuality(const Plan& plan, OptimizeStats* stats) {
   const Plan::OutputReach reach = plan.ComputeOutputReach();
   for (MopId id : plan.LiveMops()) {
     ++stats->live_mops;
-    stats->total_members += plan.mop(id).num_members();
+    stats->total_members += plan.mop(id).num_active_members();
     if (reach.mops[id] >= 2) ++stats->shared_mops;
   }
 }

@@ -57,9 +57,11 @@ struct OptimizeStats {
   int incremental_cse_merges = 0;
   int incremental_attach_merges = 0;
   int incremental_rule_merges = 0;
-  // Teardown work performed by RemoveQuery unsharing.
+  // Teardown work performed by RemoveQuery unsharing, and the m-ops its
+  // cone walks examined to find it.
   int pruned_mops = 0;
   int pruned_members = 0;
+  int pruned_visited_mops = 0;
 
   // --- sharing quality (ROADMAP: "report sharing quality in OptimizeStats") --
   // Snapshot of the current plan, filled by Optimize(). NOT refreshed by

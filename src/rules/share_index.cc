@@ -98,23 +98,25 @@ void ShareIndex::Sync() {
       return;
     }
   }
-  // Classify per m-op: a target that only *grew* (kMopGrew — a new member
-  // port bound by an attach) takes an append-only path that indexes just
-  // the new members, keeping each attach O(1) instead of O(members). That
-  // distinction is what keeps per-add latency flat as a popular σ-index or
-  // sα target accumulates thousands of members. Any other event on the
-  // m-op (rebinds, removal, in-place mutation) forces the full reindex.
+  // Classify per m-op: a target whose only changes are grown member ports
+  // (kMopGrew — an attach) or members retired / reused in place
+  // (kMemberChanged — a remove, or an attach onto a retired slot) patches
+  // just those members' entries, keeping each add and remove O(1) instead
+  // of O(members). That distinction is what keeps churn latency flat as a
+  // popular σ-index or sα target accumulates thousands of members. Any
+  // other event on the m-op (rebinds, removal) forces the full reindex.
   struct DirtyMop {
     MopId id;
     int grew = 0;
     bool other = false;
+    std::vector<int> changed;  // members retired or reused in place
   };
   std::vector<DirtyMop> dirty;
   auto dirty_of = [&dirty](MopId id) -> DirtyMop& {
     for (DirtyMop& d : dirty) {
       if (d.id == id) return d;
     }
-    dirty.push_back({id, 0, false});
+    dirty.push_back({id, 0, false, {}});
     return dirty.back();
   };
   for (const PlanEvent& e : events) {
@@ -122,9 +124,11 @@ void ShareIndex::Sync() {
       case PlanEvent::kMopGrew:
         ++dirty_of(e.a).grew;
         break;
+      case PlanEvent::kMemberChanged:
+        dirty_of(e.a).changed.push_back(e.b);
+        break;
       case PlanEvent::kMopAdded:
       case PlanEvent::kMopRemoved:
-      case PlanEvent::kMopMutated:
       case PlanEvent::kInputBound:
       case PlanEvent::kOutputBound:
         dirty_of(e.a).other = true;
@@ -136,8 +140,52 @@ void ShareIndex::Sync() {
   std::sort(dirty.begin(), dirty.end(),
             [](const DirtyMop& a, const DirtyMop& b) { return a.id < b.id; });
   for (const DirtyMop& d : dirty) {
-    if (d.other || !GrowMop(d.id, d.grew)) ReindexMop(d.id);
+    bool patched = !d.other;
+    for (size_t k = 0; patched && k < d.changed.size(); ++k) {
+      patched = RepostMember(d.id, d.changed[k]);
+    }
+    if (patched && d.grew > 0) patched = GrowMop(d.id, d.grew);
+    if (!patched) ReindexMop(d.id);
   }
+}
+
+bool ShareIndex::RepostMember(MopId id, int member) {
+  if (!plan_->IsLive(id)) return false;
+  auto it = postings_.find(id);
+  if (it == postings_.end()) return false;
+  // A member grown since the last Sync is posted by GrowMop from its
+  // current state.
+  if (member >= static_cast<int>(it->second.members.size())) return true;
+  UnpostMember(id, member, &it->second);
+  PostMember(id, member, &it->second);
+  return true;
+}
+
+void ShareIndex::PostMember(MopId id, int i, MopPostings* postings) {
+  const Mop& m = plan_->mop(id);
+  MemberPosting& p = postings->members[i];
+  RUMOR_DCHECK(!p.posted);
+  if (!m.member_active(i)) return;
+  p.key = MemberKey(m.type(), m.MemberSignature(i), plan_->input_channels(id));
+  p.posted = true;
+  member_[p.key].push_back({id, i});
+}
+
+void ShareIndex::UnpostMember(MopId id, int i, MopPostings* postings) {
+  MemberPosting& p = postings->members[i];
+  if (!p.posted) return;
+  p.posted = false;
+  auto bucket = member_.find(p.key);
+  RUMOR_CHECK(bucket != member_.end());
+  auto& refs = bucket->second;
+  auto ref = std::find_if(refs.begin(), refs.end(), [&](const MemberRef& r) {
+    return r.mop == id && r.member == i;
+  });
+  RUMOR_CHECK(ref != refs.end()) << "member posting out of sync for m-op "
+                                 << id;
+  *ref = refs.back();
+  refs.pop_back();
+  if (refs.empty()) member_.erase(bucket);
 }
 
 // Append-only maintenance for a per-member-port target whose only change
@@ -146,8 +194,8 @@ void ShareIndex::Sync() {
 // false (no state touched) when the precondition cannot be proven, in which
 // case the caller falls back to the full reindex:
 //  * the m-op must already be indexed (its pre-growth entries are valid);
-//  * it must have had >= 2 indexed members — growing past a single-member
-//    m-op retracts exact_/sel_singles_ entries, which append-only cannot do;
+//  * it must have had >= 2 members — growing past a single-member m-op
+//    retracts exact_/sel_singles_ entries, which append-only cannot do;
 //  * the member count must equal old + grew with every port bound (growth
 //    and nothing else happened).
 bool ShareIndex::GrowMop(MopId id, int grew) {
@@ -156,17 +204,7 @@ bool ShareIndex::GrowMop(MopId id, int grew) {
   if (it == postings_.end()) return false;
   const Mop& m = plan_->mop(id);
   if (!IsMemberTargetType(m.type())) return false;
-  // Member postings cover exactly members [0, k) (IndexMop posts them
-  // contiguously, growth appends contiguously), so the highest member index
-  // near the tail gives the count — counting them all would re-introduce the
-  // O(members)-per-attach cost this path exists to avoid.
-  int old_members = 0;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (rit->table == Posting::kMember) {
-      old_members = rit->member + 1;
-      break;
-    }
-  }
+  const int old_members = static_cast<int>(it->second.members.size());
   if (old_members < 2) return false;
   if (m.num_members() != old_members + grew) return false;
   if (m.num_outputs() != m.num_members() ||
@@ -176,11 +214,9 @@ bool ShareIndex::GrowMop(MopId id, int grew) {
   for (int i = old_members; i < m.num_members(); ++i) {
     if (plan_->output_channel(id, i) == kInvalidChannel) return false;
   }
+  it->second.members.resize(m.num_members());
   for (int i = old_members; i < m.num_members(); ++i) {
-    uint64_t key =
-        MemberKey(m.type(), m.MemberSignature(i), plan_->input_channels(id));
-    member_[key].push_back({id, i});
-    it->second.push_back({Posting::kMember, key, i});
+    PostMember(id, i, &it->second);
   }
   return true;
 }
@@ -217,27 +253,14 @@ void ShareIndex::UnindexMop(MopId id) {
     }
     RUMOR_CHECK(false) << "share-index posting out of sync for m-op " << id;
   };
-  for (const Posting& p : it->second) {
+  for (int i = 0; i < static_cast<int>(it->second.members.size()); ++i) {
+    UnpostMember(id, i, &it->second);
+  }
+  for (const Posting& p : it->second.mop) {
     switch (p.table) {
       case Posting::kExact:
         erase_id(exact_, p.key);
         break;
-      case Posting::kMember: {
-        auto bucket = member_.find(p.key);
-        RUMOR_CHECK(bucket != member_.end());
-        auto& v = bucket->second;
-        bool found = false;
-        for (size_t i = 0; i < v.size() && !found; ++i) {
-          if (v[i].mop == id && v[i].member == p.member) {
-            v[i] = v.back();
-            v.pop_back();
-            found = true;
-          }
-        }
-        RUMOR_CHECK(found) << "member posting out of sync for m-op " << id;
-        if (v.empty()) member_.erase(bucket);
-        break;
-      }
       case Posting::kIndexTarget:
         erase_id(index_targets_, static_cast<ChannelId>(p.key));
         break;
@@ -267,27 +290,23 @@ void ShareIndex::IndexMop(MopId id) {
   for (ChannelId c : plan_->output_channels(id)) {
     if (c == kInvalidChannel) return;
   }
-  std::vector<Posting> posts;
+  MopPostings postings;
+  std::vector<Posting>& posts = postings.mop;
   if (m.num_members() == 1 && m.num_outputs() == 1) {
     uint64_t key = ExactKey(*plan_, id, m);
     exact_[key].push_back(id);
-    posts.push_back({Posting::kExact, key, -1});
+    posts.push_back({Posting::kExact, key});
   }
   if (IsMemberTargetType(m.type())) {
-    for (int i = 0; i < m.num_members(); ++i) {
-      uint64_t key =
-          MemberKey(m.type(), m.MemberSignature(i), plan_->input_channels(id));
-      member_[key].push_back({id, i});
-      posts.push_back({Posting::kMember, key, i});
-    }
+    postings.members.resize(m.num_members());
+    for (int i = 0; i < m.num_members(); ++i) PostMember(id, i, &postings);
   }
   if (m.type() == MopType::kPredicateIndex) {
     const auto& index = static_cast<const PredicateIndexMop&>(m);
     if (index.output_mode() == OutputMode::kPerMemberPorts) {
       ChannelId in = plan_->input_channel(id, 0);
       index_targets_[in].push_back(id);
-      posts.push_back(
-          {Posting::kIndexTarget, static_cast<uint64_t>(in), -1});
+      posts.push_back({Posting::kIndexTarget, static_cast<uint64_t>(in)});
     }
   }
   if (m.type() == MopType::kSelection && m.num_members() == 1 &&
@@ -296,7 +315,7 @@ void ShareIndex::IndexMop(MopId id) {
     if (sel.member(0).input_slot == 0) {
       ChannelId in = plan_->input_channel(id, 0);
       sel_singles_[in].push_back(id);
-      posts.push_back({Posting::kSelSingle, static_cast<uint64_t>(in), -1});
+      posts.push_back({Posting::kSelSingle, static_cast<uint64_t>(in)});
     }
   }
   if (m.type() == MopType::kAggregate ||
@@ -308,10 +327,12 @@ void ShareIndex::IndexMop(MopId id) {
     if (qualifies) {
       uint64_t key = AggKey(*plan_, id, agg);
       agg_targets_[key].push_back(id);
-      posts.push_back({Posting::kAggTarget, key, -1});
+      posts.push_back({Posting::kAggTarget, key});
     }
   }
-  if (!posts.empty()) postings_[id] = std::move(posts);
+  if (!posts.empty() || !postings.members.empty()) {
+    postings_[id] = std::move(postings);
+  }
 }
 
 ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
@@ -388,11 +409,11 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
                     0;
             break;
           case MopType::kSharedAggregate: {
+            // Only active members are posted.
             const auto& target = static_cast<const AggregateMop&>(t);
             const auto& sel = static_cast<const AggregateMop&>(m);
             match = target.member(ref.member).input_slot ==
-                        sel.member(0).input_slot &&
-                    target.member_active(ref.member);
+                    sel.member(0).input_slot;
             break;
           }
           case MopType::kSharedJoin: {
@@ -555,7 +576,17 @@ ShareIndex::Stats ShareIndex::GetStats() const {
   table(index_targets_, &s.index_target_entries);
   table(sel_singles_, &s.sel_single_entries);
   table(agg_targets_, &s.agg_target_entries);
-  table(postings_, &s.posting_entries);
+  for (const auto& [id, postings] : postings_) {
+    s.posting_entries += static_cast<int64_t>(postings.mop.size());
+    for (const MemberPosting& p : postings.members) {
+      s.posting_entries += p.posted ? 1 : 0;
+    }
+    s.approx_bytes +=
+        kNodeOverhead + static_cast<int64_t>(sizeof(id)) +
+        static_cast<int64_t>(postings.mop.capacity() * sizeof(Posting) +
+                             postings.members.capacity() *
+                                 sizeof(MemberPosting));
+  }
   return s;
 }
 

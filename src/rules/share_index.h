@@ -10,9 +10,10 @@
 //             m-ops — CSE duplicates (rule s;/sµ and exact duplicates of
 //             every type). The key is bit-identical to CseRule's group key,
 //             so probe results match the scan-based rule exactly.
-//   member    (shared type, input channels, member signature) -> members of
-//             per-member-port merged targets — member-level CSE (a new σ/α/⋈
-//             identical to a warm member reuses its output port).
+//   member    (shared type, input channels, member signature) -> active
+//             members of per-member-port merged targets — member-level CSE
+//             (a new σ/α/⋈ identical to a warm member reuses its output
+//             port). Retired members are not posted.
 //   σ-target  input channel -> per-member-port predicate indexes (sσ attach
 //             targets; the probe picks the oldest = lowest MopId).
 //   σ-single  input channel -> single-member slot-0 selections (sσ formation
@@ -120,17 +121,25 @@ class ShareIndex {
     MopId mop;
     int member;
   };
+  // An m-op-level entry (every table but member_).
   struct Posting {
     enum Table : uint8_t {
       kExact,
-      kMember,
       kIndexTarget,
       kSelSingle,
       kAggTarget,
     };
     Table table;
     uint64_t key;  // hash key, or the channel id for the channel tables
-    int member;    // kMember postings only
+  };
+  // One member's member_ entry; not posted while the member is retired.
+  struct MemberPosting {
+    uint64_t key = 0;
+    bool posted = false;
+  };
+  struct MopPostings {
+    std::vector<Posting> mop;
+    std::vector<MemberPosting> members;  // by member (member-target types)
   };
 
   void Rebuild();
@@ -143,6 +152,13 @@ class ShareIndex {
   // already-indexed growing target; returns false (caller must ReindexMop)
   // when the growth-only precondition cannot be proven.
   bool GrowMop(MopId id, int grew);
+  // Re-derives one member's entry of an indexed target after it was
+  // retired or reused in place; returns false (caller must ReindexMop)
+  // when the m-op is not indexed.
+  bool RepostMember(MopId id, int member);
+  // Posts / unposts member `i` of target `id` into member_.
+  void PostMember(MopId id, int i, MopPostings* postings);
+  void UnpostMember(MopId id, int i, MopPostings* postings);
 
   Plan* plan_;
   uint64_t cursor_ = 0;
@@ -154,7 +170,7 @@ class ShareIndex {
   std::unordered_map<uint64_t, std::vector<MopId>> agg_targets_;
   // Reverse map for removal: which entries each m-op contributed (the m-op
   // itself is already gone when a removal event is observed).
-  std::unordered_map<MopId, std::vector<Posting>> postings_;
+  std::unordered_map<MopId, MopPostings> postings_;
 };
 
 }  // namespace rumor

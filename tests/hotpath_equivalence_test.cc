@@ -532,6 +532,24 @@ TEST(HotpathStructuresTest, FlatInt64Map) {
   for (int64_t missing : {-5000, 5000, 123456789}) {
     EXPECT_EQ(map.Find(missing), -1);
   }
+  // Interleaved erase/insert churn: backward-shift deletion must keep every
+  // surviving key reachable through its probe run.
+  for (int i = 0; i < 4000; ++i) {
+    int64_t key = rng.UniformInt(-1000, 1000);
+    if (rng.UniformInt(0, 2) == 0) {
+      int32_t value = static_cast<int32_t>(rng.UniformInt(0, 1 << 20));
+      map.Insert(key, value);
+      oracle[key] = value;
+    } else {
+      map.Erase(key);
+      oracle.erase(key);
+    }
+  }
+  EXPECT_EQ(map.size(), oracle.size());
+  for (int64_t key = -1000; key <= 1000; ++key) {
+    auto it = oracle.find(key);
+    EXPECT_EQ(map.Find(key), it == oracle.end() ? -1 : it->second) << key;
+  }
 }
 
 }  // namespace

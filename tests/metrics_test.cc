@@ -247,6 +247,62 @@ TEST(MetricsTest, HundredQueryPlanExplainsMergedSelectivity) {
   EXPECT_NE(report.find("sel=0."), std::string::npos) << report;
 }
 
+// RemoveQuery retires σ-index and sα members in place (the slot stays for a
+// later attach to reuse), so member counts must skip retired slots: after
+// churn, every report counts the queries a shared m-op serves, not the
+// slots it has ever had.
+TEST(MetricsTest, MemberCountsSkipRetiredSlotsAfterChurn) {
+  StreamEngine engine;
+  Schema schema = Schema::MakeInts(3);
+  ASSERT_TRUE(engine.RegisterSource("S", schema).ok());
+  auto s = QueryBuilder::FromSource("S", schema);
+  auto add_select = [&](int i) {
+    ASSERT_TRUE(engine
+                    .AddQuery(s.Select("a0 = " + std::to_string(i))
+                                  .Build("Q" + std::to_string(i)))
+                    .ok());
+  };
+  auto add_agg = [&](int i) {
+    ASSERT_TRUE(engine
+                    .AddQuery(s.Aggregate(AggFn::kSum, "a1", {"a0"}, 4 + i)
+                                  .Build("A" + std::to_string(i)))
+                    .ok());
+  };
+  for (int i = 0; i < 100; ++i) add_select(i);
+  for (int i = 0; i < 10; ++i) add_agg(i);
+  ASSERT_TRUE(engine.Start().ok());
+  // Retire 30 σ members and 4 sα members, then re-attach 10 and 1: the
+  // re-attaches reuse retired slots, so both m-ops keep their slot count.
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(engine.RemoveQuery("Q" + std::to_string(i)).ok());
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine.RemoveQuery("A" + std::to_string(i)).ok());
+  }
+  for (int i = 0; i < 10; ++i) add_select(i);
+  add_agg(0);
+
+  EngineMetrics em = engine.CollectMetrics();
+  const EngineMetrics::MopRow* index = nullptr;
+  const EngineMetrics::MopRow* agg = nullptr;
+  int row_members = 0;
+  for (const auto& row : em.mops) {
+    if (std::strcmp(row.type, "σ-index") == 0) index = &row;
+    if (std::strcmp(row.type, "sα") == 0) agg = &row;
+    row_members += row.members;
+  }
+  ASSERT_NE(index, nullptr);
+  ASSERT_NE(agg, nullptr);
+  EXPECT_EQ(index->members, 80);
+  EXPECT_EQ(index->query_refs, 80);
+  EXPECT_EQ(agg->members, 7);
+  EXPECT_EQ(em.total_members, row_members);
+  EXPECT_EQ(em.optimize.total_members, row_members);
+  std::string report = engine.ExplainAnalyze();
+  EXPECT_NE(report.find("members=80"), std::string::npos) << report;
+  EXPECT_NE(report.find("members=7"), std::string::npos) << report;
+}
+
 TEST(MetricsTest, EndToEndLatencyRecordedOnScalarAndBatchedPaths) {
   auto run = [](bool batched) {
     StreamEngine engine;

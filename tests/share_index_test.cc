@@ -52,6 +52,15 @@ MopId FormIndexFrom(Plan* plan, const std::vector<MopId>& singles) {
   return target;
 }
 
+// Removes query `name` from a raw plan the way StreamEngine::RemoveQuery
+// does: unmark its output, then prune what only that output kept alive.
+void RemoveFromPlan(Plan* plan, const std::string& name) {
+  std::optional<StreamId> out = plan->OutputStreamOf(name);
+  ASSERT_TRUE(out.has_value());
+  ASSERT_TRUE(plan->UnmarkOutput(name));
+  PruneUnreachable(plan, *out);
+}
+
 TEST(ShareIndexTest, ProbeFindsExactDuplicate) {
   Plan plan;
   auto s = QueryBuilder::FromSource("S", TenInts());
@@ -102,8 +111,7 @@ TEST(ShareIndexTest, DebugDumpMatchesRebuildAcrossMutations) {
     if (remove) {
       size_t victim = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(names.size()) - 1));
-      ASSERT_TRUE(plan.UnmarkOutput(names[victim]));
-      PruneUnreachable(&plan);
+      RemoveFromPlan(&plan, names[victim]);
       names.erase(names.begin() + victim);
       live.Sync();
     } else {
@@ -138,10 +146,8 @@ TEST(ShareIndexTest, IndexedMergeMatchesScanOnRandomSequences) {
       if (remove) {
         size_t victim = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(names.size()) - 1));
-        ASSERT_TRUE(scan_plan.UnmarkOutput(names[victim]));
-        ASSERT_TRUE(indexed_plan.UnmarkOutput(names[victim]));
-        PruneUnreachable(&scan_plan);
-        PruneUnreachable(&indexed_plan);
+        RemoveFromPlan(&scan_plan, names[victim]);
+        RemoveFromPlan(&indexed_plan, names[victim]);
         names.erase(names.begin() + victim);
       } else {
         std::string name = "q" + std::to_string(step);
@@ -183,7 +189,7 @@ TEST(ShareIndexTest, IndexedMergeMatchesScanOnRandomSequences) {
 
 // Regression: AttachMember can *reuse* a deactivated member slot of a shared
 // aggregate, replacing its spec — and so its member signature — with no
-// wiring event. The plan must publish the in-place mutation (NotifyMopMutated)
+// wiring event. The plan must publish the in-place change (NotifyMemberChanged)
 // so the index re-derives the target; a stale signature would otherwise
 // survive until the next unrelated reindex of that m-op.
 TEST(ShareIndexTest, ReusedAggregateSlotKeepsIndexFresh) {
@@ -200,8 +206,7 @@ TEST(ShareIndexTest, ReusedAggregateSlotKeepsIndexFresh) {
   };
   add("q1", 8);
   add("q2", 12);  // attaches as member 1 of the (now shared) target
-  ASSERT_TRUE(plan.UnmarkOutput("q2"));
-  PruneUnreachable(&plan);  // deactivates member 1
+  RemoveFromPlan(&plan, "q2");  // deactivates member 1
   live.Sync();
   add("q3", 16);  // reuses slot 1: new window, new signature, same port
 
