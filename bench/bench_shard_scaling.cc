@@ -12,11 +12,14 @@
 //     hash-partitioned on a0 (kKey), so scaling additionally depends on key
 //     skew and the per-tuple routing hash.
 //
-// The timed region includes the final Flush(): reported events/s covers
-// full processing and ordered merge, not just enqueueing. Writes
-// BENCH_shard_scaling.json with hardware_concurrency recorded — scaling
-// numbers are only meaningful relative to the cores actually available
-// (a 1-core host shows the machinery's overhead, not speedup).
+// Outputs go through the ordered merge into one counting sink on the
+// pushing thread, the path StreamEngine::SetShardCount runs. The timed
+// region includes the final Flush(): reported events/s covers full
+// processing and ordered merge, not just enqueueing. Writes
+// BENCH_shard_scaling.json with hardware_concurrency and the host block
+// recorded — scaling numbers are only meaningful relative to the cores
+// actually available (a 1-core host shows the machinery's overhead, not
+// speedup).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -161,6 +164,7 @@ int main() {
       .KV("batch", batch)
       .KV("hardware_concurrency", hw)
       .KV("max_shards", max_shards);
+  WriteHost(w);
   if (tiny > 0) w.KV("tiny", true);
   w.Key("rows").BeginArray();
   for (const Cell& c : cells) {

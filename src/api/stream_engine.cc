@@ -29,66 +29,69 @@ class StreamEngine::HandlerSink : public OutputSink {
     if (stream >= static_cast<StreamId>(routes_.size())) {
       routes_.resize(stream + 1);
     }
-    // The counter is resolved once here (counts_ nodes are stable), so the
+    // Routes point at the query's by_name_ node (node-stable), so the
     // per-output path never hashes the query name.
-    int64_t* counter = &counts_[query_name];
-    std::vector<Route>& routes = routes_[stream];
-    route_of_[query_name] = {stream, static_cast<int>(routes.size())};
-    routes.push_back(Route{std::move(query_name), counter});
+    Entry& entry = *by_name_.try_emplace(std::move(query_name)).first;
+    std::vector<Entry*>& routes = routes_[stream];
+    entry.second.stream = stream;
+    entry.second.pos = static_cast<int>(routes.size());
+    routes.push_back(&entry);
   }
   // Stops routing to `query_name` (RemoveQuery); delivered counts persist.
   // O(1): the stream's last route takes the removed one's place.
   void Unbind(const std::string& query_name) {
-    auto it = route_of_.find(query_name);
-    if (it == route_of_.end()) return;
-    const auto [stream, pos] = it->second;
-    route_of_.erase(it);
-    std::vector<Route>& routes = routes_[stream];
-    RUMOR_CHECK(routes[pos].name == query_name);
-    if (pos + 1 != static_cast<int>(routes.size())) {
-      routes[pos] = std::move(routes.back());
-      route_of_[routes[pos].name].pos = pos;
-    }
+    auto it = by_name_.find(query_name);
+    if (it == by_name_.end() || it->second.stream == kInvalidStream) return;
+    QueryRoute& route = it->second;
+    std::vector<Entry*>& routes = routes_[route.stream];
+    RUMOR_CHECK(routes[route.pos] == &*it);
+    routes[route.pos] = routes.back();
+    routes[route.pos]->second.pos = route.pos;
     routes.pop_back();
+    route.stream = kInvalidStream;
   }
   void SetHandler(const OutputHandler* handler) { handler_ = handler; }
   // Engine-owned running total of routed results (read by the ticker).
   void SetTotalCounter(std::atomic<int64_t>* total) { total_ = total; }
+  // True while the output handler runs: the one window in which the
+  // single-threaded engine API can be re-entered.
+  bool in_handler() const { return handler_depth_ > 0; }
 
   void OnOutput(StreamId stream, const Tuple& tuple) override {
     if (stream < 0 || stream >= static_cast<StreamId>(routes_.size())) return;
-    for (const Route& route : routes_[stream]) {
-      ++*route.count;
+    for (Entry* entry : routes_[stream]) {
+      ++entry->second.delivered;
       RUMOR_METRIC(total_->fetch_add(1, std::memory_order_relaxed));
-      if (handler_ != nullptr && *handler_) (*handler_)(route.name, tuple);
+      if (handler_ != nullptr && *handler_) {
+        ++handler_depth_;
+        (*handler_)(entry->first, tuple);
+        --handler_depth_;
+      }
     }
   }
 
   int64_t CountFor(const std::string& name) const {
-    auto it = counts_.find(name);
-    return it == counts_.end() ? 0 : it->second;
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? 0 : it->second.delivered;
   }
 
-  // Restore: carry a query's delivered total across the checkpoint (counts_
-  // nodes are stable, so existing Route::count pointers stay valid).
+  // Restore: carry a query's delivered total across the checkpoint.
   void SeedCount(const std::string& name, int64_t delivered) {
-    counts_[name] = delivered;
+    by_name_[name].delivered = delivered;
   }
 
  private:
-  struct Route {
-    std::string name;
-    int64_t* count;  // into counts_ (node-stable)
+  struct QueryRoute {
+    int64_t delivered = 0;
+    StreamId stream = kInvalidStream;  // kInvalidStream while unbound
+    int pos = 0;                       // index in routes_[stream]
   };
-  struct RoutePos {
-    StreamId stream;
-    int pos;  // index in routes_[stream]
-  };
-  std::vector<std::vector<Route>> routes_;  // by StreamId
-  std::unordered_map<std::string, RoutePos> route_of_;  // by query name
-  std::unordered_map<std::string, int64_t> counts_;
+  using Entry = std::pair<const std::string, QueryRoute>;
+  std::vector<std::vector<Entry*>> routes_;  // by StreamId
+  std::unordered_map<std::string, QueryRoute> by_name_;
   const OutputHandler* handler_ = nullptr;
   std::atomic<int64_t>* total_ = nullptr;  // set before any OnOutput
+  int handler_depth_ = 0;
 };
 
 StreamEngine::StreamEngine(OptimizerOptions options)
@@ -183,67 +186,32 @@ Status StreamEngine::AddScript(const std::string& rql) {
 }
 
 Status StreamEngine::AddQueryLive(Query query, std::string text) {
-  if (sharded_ != nullptr) {
-    if (sharded_->busy()) {
-      return Status::Internal("cannot add queries from inside a push");
-    }
-    // Quiesce-merge-resume: the compile + incremental merge runs once per
-    // shard ON that shard's worker thread (replicas stay identical because
-    // the sequence is deterministic), so backfill tuples land on the arena
-    // of the thread that owns them.
-    std::vector<IncrementalMergeStats> merged(sharded_->num_shards());
-    Status st = sharded_->MutateShards(
-        [&](int shard, Plan& plan, Executor& exec) -> Status {
-          Plan::Marker marker = plan.Mark();
-          auto compiled = CompileQuery(query, &plan);
-          if (!compiled.ok()) {
-            plan.RollbackTo(marker);
-            return compiled.status();
-          }
-          // Each shard probes its own replica's share index (replicas and
-          // indexes stay identical because the merge is deterministic).
-          ShareIndex* index = shard < static_cast<int>(shard_indexes_.size())
-                                  ? shard_indexes_[shard].get()
-                                  : nullptr;
-          merged[shard] =
-              index != nullptr
-                  ? MergeNewQueryIndexed(&plan, index, marker.num_mops,
-                                         options_)
-                  : MergeNewQuery(&plan, options_);
-          exec.Refresh();
-          return Status::OK();
-        });
-    if (!st.ok()) return st;
-    stats_.dynamic_adds += 1;
-    stats_.incremental_cse_merges += merged[0].cse_merges;
-    stats_.incremental_attach_merges += merged[0].attach_merges;
-    stats_.incremental_rule_merges += merged[0].rule_merges;
-    auto out = sharded_->plan(0).OutputStreamOf(query.name);
-    RUMOR_CHECK(out.has_value());
-    sink_->Bind(*out, query.name);
-    RefreshSourceIds();
-    AppendQuery(std::move(query), std::move(text));
-    return Status::OK();
-  }
-  if (executor_->busy()) {
-    return Status::Internal("cannot add queries from inside a push");
-  }
-  // Compile the new query standalone into the live plan; roll every
-  // half-lowered m-op/channel/stream back if compilation fails midway.
-  Plan::Marker marker = plan_.Mark();
-  auto compiled = CompileQuery(query, &plan_);
-  if (!compiled.ok()) {
-    plan_.RollbackTo(marker);
-    return compiled.status();
-  }
-  // Incrementally merge the new subplan onto warm shared operators: O(1)
-  // share-index probes per fresh m-op in the default configuration, the
-  // whole-plan scan oracle otherwise.
-  IncrementalMergeStats merged =
-      share_index_ != nullptr
-          ? MergeNewQueryIndexed(&plan_, share_index_.get(), marker.num_mops,
-                                 options_)
-          : MergeNewQuery(&plan_, options_);
+  if (busy()) return Status::Internal("cannot add queries from inside a push");
+  // Compile the new query standalone into every replica, rolling back every
+  // half-lowered m-op/channel/stream if compilation fails midway, then merge
+  // it incrementally onto warm shared operators: O(1) share-index probes per
+  // fresh m-op in the default configuration, the whole-plan scan oracle
+  // otherwise. Sharded, this runs ON each worker thread (replicas stay
+  // identical because the sequence is deterministic), so backfill tuples
+  // land on the arena of the thread that owns them.
+  IncrementalMergeStats merged;
+  RUMOR_RETURN_IF_ERROR(
+      OnReplicas([&](int shard, Plan& plan, Executor& exec) -> Status {
+        Plan::Marker marker = plan.Mark();
+        auto compiled = CompileQuery(query, &plan);
+        if (!compiled.ok()) {
+          plan.RollbackTo(marker);
+          return compiled.status();
+        }
+        ShareIndex* index = share_indexes_[shard].get();
+        const IncrementalMergeStats stats =
+            index != nullptr ? MergeNewQueryIndexed(&plan, index,
+                                                    marker.num_mops, options_)
+                             : MergeNewQuery(&plan, options_);
+        if (shard == 0) merged = stats;
+        exec.Refresh();  // validates the plan
+        return Status::OK();
+      }));
   stats_.dynamic_adds += 1;
   stats_.incremental_cse_merges += merged.cse_merges;
   stats_.incremental_attach_merges += merged.attach_merges;
@@ -252,10 +220,9 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
   // walk is O(queries × plan) and this path is latency-critical (the
   // bench_dynamic_add bar). CollectMetrics() recomputes them on demand.
 
-  auto out = plan_.OutputStreamOf(query.name);
+  auto out = ActivePlan().OutputStreamOf(query.name);
   RUMOR_CHECK(out.has_value());
   sink_->Bind(*out, query.name);
-  executor_->Refresh();  // validates the plan
   RefreshSourceIds();
   AppendQuery(std::move(query), std::move(text));
   return Status::OK();
@@ -279,47 +246,29 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
   // The lookup is case-insensitive; the plan and sink know the query by its
   // registered spelling.
   const std::string canonical = queries_[index].name;
-  if (sharded_ != nullptr) {
-    if (sharded_->busy()) {
+  if (started()) {
+    if (busy()) {
       return Status::Internal("cannot remove queries from inside a push");
     }
-    std::vector<PruneStats> pruned(sharded_->num_shards());
-    Status st = sharded_->MutateShards(
-        [&](int shard, Plan& plan, Executor& exec) -> Status {
-          pruned[shard] = UnshareQuery(&plan, canonical);
-          // Keep the share index current (O(delta)) so a long removal run
-          // cannot outgrow the plan's event log between adds.
-          if (shard < static_cast<int>(shard_indexes_.size()) &&
-              shard_indexes_[shard] != nullptr) {
-            shard_indexes_[shard]->Sync();
-          }
-          exec.Refresh();
-          return Status::OK();
-        });
-    if (!st.ok()) return st;
-    sink_->Unbind(canonical);
-    stats_.dynamic_removes += 1;
-    stats_.pruned_mops += pruned[0].removed_mops;
-    stats_.pruned_members +=
-        pruned[0].pruned_index_members + pruned[0].deactivated_members;
-    stats_.pruned_visited_mops += pruned[0].visited_mops;
-  } else if (started()) {
-    if (executor_->busy()) {
-      return Status::Internal("cannot remove queries from inside a push");
-    }
-    sink_->Unbind(canonical);
     // Cone-local unsharing: tear down exactly what no surviving query
     // reaches.
-    PruneStats pruned = UnshareQuery(&plan_, canonical);
-    // Keep the share index current (O(delta)) so a long removal run cannot
-    // outgrow the plan's event log between adds.
-    if (share_index_ != nullptr) share_index_->Sync();
+    PruneStats pruned;
+    RUMOR_RETURN_IF_ERROR(
+        OnReplicas([&](int shard, Plan& plan, Executor& exec) -> Status {
+          const PruneStats stats = UnshareQuery(&plan, canonical);
+          if (shard == 0) pruned = stats;
+          // Keep the share index current (O(delta)) so a long removal run
+          // cannot outgrow the plan's event log between adds.
+          if (share_indexes_[shard] != nullptr) share_indexes_[shard]->Sync();
+          exec.Refresh();  // validates the plan
+          return Status::OK();
+        }));
+    sink_->Unbind(canonical);
     stats_.dynamic_removes += 1;
     stats_.pruned_mops += pruned.removed_mops;
     stats_.pruned_members +=
         pruned.pruned_index_members + pruned.deactivated_members;
     stats_.pruned_visited_mops += pruned.visited_mops;
-    executor_->Refresh();  // validates the plan
   }
   // Leave a tombstone so no later index shifts; compacting once tombstones
   // outnumber live queries keeps removal amortized O(1) and preserves the
@@ -338,71 +287,70 @@ Status StreamEngine::Start() {
     return Status::InvalidArgument("no queries added");
   }
   CompactQueries();
-  if (shard_count_ > 1) {
-    sink_ = std::make_unique<HandlerSink>();
-    sink_->SetHandler(&handler_);
-    sink_->SetTotalCounter(&outputs_total_);
-    ShardedExecutor::Options sharded_options;
-    sharded_options.num_shards = shard_count_;
-    sharded_options.metrics = metrics_options_;
-    // Each worker compiles + optimizes its own replica from the shared
-    // query list (read-only here; both passes are deterministic, so replica
-    // ids line up across shards).
-    PlanFactory factory = [this](Plan* plan, OptimizeStats* stats) -> Status {
-      auto replica = CompileQueries(queries_, plan);
-      if (!replica.ok()) return replica.status();
-      *stats = Optimize(plan, options_);
-      return Status::OK();
-    };
-    sharded_ = std::make_unique<ShardedExecutor>(
-        sharded_options, std::move(factory),
-        static_cast<OutputSink*>(sink_.get()));
-    Status st = sharded_->Prepare();
-    if (!st.ok()) {
-      sharded_.reset();
-      sink_.reset();
-      return st;
-    }
-    stats_ = sharded_->optimize_stats();
-    if (options_.use_share_index) {
-      // One persistent share index per replica, built on the worker thread
-      // that owns the plan; live adds probe it instead of scanning.
-      shard_indexes_.resize(sharded_->num_shards());
-      Status ist = sharded_->MutateShards(
-          [this](int shard, Plan& plan, Executor&) -> Status {
-            shard_indexes_[shard] = std::make_unique<ShareIndex>(&plan);
-            return Status::OK();
-          });
-      RUMOR_CHECK(ist.ok());
-    }
-    for (const Plan::OutputDef& def : sharded_->plan(0).outputs()) {
-      sink_->Bind(def.stream, def.query_name);
-    }
-    RefreshSourceIds();
-    return Status::OK();
-  }
-  auto compiled = CompileQueries(queries_, &plan_);
-  if (!compiled.ok()) return compiled.status();
-  if (options_.use_share_index) {
-    share_index_ = std::make_unique<ShareIndex>(&plan_);
-  }
-  stats_ = Optimize(&plan_, options_, share_index_.get());
-
   sink_ = std::make_unique<HandlerSink>();
   sink_->SetHandler(&handler_);
   sink_->SetTotalCounter(&outputs_total_);
-  for (const Plan::OutputDef& def : plan_.outputs()) {
+  // Every replica, 1 or N, is built the same way: compile, index the plan's
+  // share points, then run the optimizer seeded with that index. Sharded,
+  // each worker builds its own replica and index from the shared (read-only
+  // here) query list; the build is deterministic, so replica ids line up
+  // across shards.
+  share_indexes_.resize(shard_count_);
+  PlanFactory build = [this](int shard, Plan* plan,
+                             OptimizeStats* stats) -> Status {
+    auto compiled = CompileQueries(queries_, plan);
+    if (!compiled.ok()) return compiled.status();
+    if (options_.use_share_index) {
+      share_indexes_[shard] = std::make_unique<ShareIndex>(plan);
+    }
+    *stats = Optimize(plan, options_, share_indexes_[shard].get());
+    return Status::OK();
+  };
+  Status built;
+  if (shard_count_ > 1) {
+    ShardedExecutor::Options sharded_options;
+    sharded_options.num_shards = shard_count_;
+    sharded_options.metrics = metrics_options_;
+    sharded_ = std::make_unique<ShardedExecutor>(sharded_options,
+                                                 std::move(build), sink_.get());
+    built = sharded_->Prepare();
+    if (built.ok()) {
+      stats_ = sharded_->optimize_stats();
+      replica0_ = &sharded_->plan(0);
+    } else {
+      sharded_.reset();
+    }
+  } else {
+    built = build(0, &plan_, &stats_);
+    if (built.ok()) {
+      executor_ = std::make_unique<Executor>(&plan_, sink_.get());
+      executor_->SetMetricsOptions(metrics_options_);
+      executor_->Prepare();
+    }
+  }
+  if (!built.ok()) {
+    share_indexes_.clear();
+    sink_.reset();
+    return built;
+  }
+  for (const Plan::OutputDef& def : ActivePlan().outputs()) {
     sink_->Bind(def.stream, def.query_name);
   }
-  executor_ = std::make_unique<Executor>(&plan_, sink_.get());
-  executor_->SetMetricsOptions(metrics_options_);
-  executor_->Prepare();
   RefreshSourceIds();
   return Status::OK();
 }
 
-const Plan& StreamEngine::ActivePlan() const {
-  return sharded_ != nullptr ? sharded_->plan(0) : plan_;
+Status StreamEngine::OnReplicas(
+    const ShardedExecutor::ShardCommand& fn) const {
+  if (sharded_ != nullptr) return sharded_->MutateShards(fn);
+  RUMOR_CHECK(executor_ != nullptr) << "engine not started";
+  // Const callers (Checkpoint, CollectMetrics) pass commands that only
+  // read the plan, as they do through MutateShards.
+  return fn(0, const_cast<Plan&>(plan_), *executor_);
+}
+
+bool StreamEngine::busy() const {
+  return sink_ != nullptr && sink_->in_handler();
 }
 
 void StreamEngine::RefreshSourceIds() {
@@ -432,7 +380,7 @@ Status StreamEngine::Push(const std::string& source, const Tuple& tuple) {
   auto id = FindSourceId(source);
   if (!id.ok()) return id.status();
   if (sharded_ != nullptr) {
-    if (sharded_->busy()) {
+    if (busy()) {
       return Status::Internal(
           "re-entrant push from an output handler is unsupported when "
           "sharded");
@@ -451,7 +399,7 @@ Status StreamEngine::PushBatch(const std::string& source,
   auto id = FindSourceId(source);
   if (!id.ok()) return id.status();
   if (sharded_ != nullptr) {
-    if (sharded_->busy()) {
+    if (busy()) {
       return Status::Internal(
           "re-entrant push from an output handler is unsupported when "
           "sharded");
@@ -466,8 +414,12 @@ Status StreamEngine::PushBatch(const std::string& source,
   return Status::OK();
 }
 
-void StreamEngine::Flush() {
-  if (sharded_ != nullptr) sharded_->Flush();
+void StreamEngine::Flush() { Quiesce(); }
+
+ShardedExecutor* StreamEngine::Quiesce() const {
+  if (sharded_ == nullptr) return nullptr;
+  sharded_->Flush();
+  return sharded_.get();
 }
 
 // --- durability ---------------------------------------------------------------
@@ -476,12 +428,7 @@ Status StreamEngine::Checkpoint(std::string* out) const {
   if (!started()) {
     return Status::Internal("checkpoint requires a started engine");
   }
-  if (executor_ != nullptr && executor_->busy()) {
-    return Status::Internal("cannot checkpoint from inside a push");
-  }
-  if (sharded_ != nullptr && sharded_->busy()) {
-    return Status::Internal("cannot checkpoint from inside a push");
-  }
+  if (busy()) return Status::Internal("cannot checkpoint from inside a push");
   for (size_t i = 0; i < queries_.size(); ++i) {
     if (queries_[i].root != nullptr && query_texts_[i].empty()) {
       return Status::InvalidArgument(
@@ -494,9 +441,7 @@ Status StreamEngine::Checkpoint(std::string* out) const {
   SnapshotBuilder builder;
   {
     SnapshotWriter w;
-    w.U32(static_cast<uint32_t>(sharded_ != nullptr
-                                    ? sharded_->num_shards()
-                                    : 1));
+    w.U32(static_cast<uint32_t>(shard_count_));
     w.I64(push_calls_.load(std::memory_order_relaxed));
     w.I64(tuples_pushed_.load(std::memory_order_relaxed));
     w.I64(outputs_total_.load(std::memory_order_relaxed));
@@ -527,26 +472,19 @@ Status StreamEngine::Checkpoint(std::string* out) const {
     }
     builder.AddSection(SnapshotSection::kQueries, w.Take());
   }
-  if (sharded_ != nullptr) {
-    // One state section per shard, serialized ON each worker thread via the
-    // quiesce path — the same synchronization AddQuery/RemoveQuery use, so
-    // checkpoints interleave safely with query churn and pushes.
-    std::vector<std::string> payloads(sharded_->num_shards());
-    Status st = sharded_->MutateShards(
-        [&](int shard, Plan& plan, Executor&) -> Status {
-          auto payload = SavePlanState(plan);
-          if (!payload.ok()) return payload.status();
-          payloads[shard] = std::move(payload).value();
-          return Status::OK();
-        });
-    if (!st.ok()) return st;
-    for (std::string& payload : payloads) {
-      builder.AddSection(SnapshotSection::kState, std::move(payload));
-    }
-  } else {
-    auto payload = SavePlanState(plan_);
-    if (!payload.ok()) return payload.status();
-    builder.AddSection(SnapshotSection::kState, std::move(payload).value());
+  // One state section per replica, serialized on the replica's own thread
+  // — the same synchronization AddQuery/RemoveQuery use, so checkpoints
+  // interleave safely with query churn and pushes.
+  std::vector<std::string> payloads(shard_count_);
+  RUMOR_RETURN_IF_ERROR(
+      OnReplicas([&](int shard, Plan& plan, Executor&) -> Status {
+        auto payload = SavePlanState(plan);
+        if (!payload.ok()) return payload.status();
+        payloads[shard] = std::move(payload).value();
+        return Status::OK();
+      }));
+  for (std::string& payload : payloads) {
+    builder.AddSection(SnapshotSection::kState, std::move(payload));
   }
   *out = builder.Take();
   return Status::OK();
@@ -675,18 +613,13 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   }
   RUMOR_RETURN_IF_ERROR(Start());
 
-  // Stage 3: load the merged state image into the fresh plan(s). Every
+  // Stage 3: load the merged state image into the fresh replica(s). Every
   // shard replica receives the full image ("lazy shedding"): partitioned
   // routing only ever feeds a shard the keys it owns, so foreign-key state
   // sits inert and ages out of the windows.
-  if (sharded_ != nullptr) {
-    RUMOR_RETURN_IF_ERROR(sharded_->MutateShards(
-        [&](int, Plan& plan, Executor&) -> Status {
-          return LoadPlanState(plan, merged);
-        }));
-  } else {
-    RUMOR_RETURN_IF_ERROR(LoadPlanState(plan_, merged));
-  }
+  RUMOR_RETURN_IF_ERROR(OnReplicas([&](int, Plan& plan, Executor&) -> Status {
+    return LoadPlanState(plan, merged);
+  }));
 
   // Stage 4: carry the observable counters across the crash.
   push_calls_.store(saved_push_calls, std::memory_order_relaxed);
@@ -709,31 +642,23 @@ int64_t StreamEngine::OutputCount(const std::string& query_name) const {
 }
 
 std::string StreamEngine::Explain() const {
-  if (sharded_ == nullptr) return ExplainPlan(plan_);
-  sharded_->Flush();
-  return ExplainPlan(sharded_->plan(0)) +
-         sharded_->sharding().ToString(sharded_->plan(0));
+  const ShardedExecutor* sharded = Quiesce();
+  std::string out = ExplainPlan(ActivePlan());
+  if (sharded != nullptr) out += sharded->sharding().ToString(ActivePlan());
+  return out;
 }
 
 std::string StreamEngine::ExplainAnalyze() const {
-  // Sharded: replicas carry identical structure; shard 0's counters stand in
+  // Replicas carry identical structure; shard 0's counters stand in
   // (CollectMetrics aggregates across all shards).
-  if (sharded_ != nullptr) sharded_->Flush();
+  const EngineMetrics em = CollectMetrics();
   std::string out = rumor::ExplainAnalyze(ActivePlan());
-  const LatencyHistogram* latency =
-      sharded_ != nullptr
-          ? &sharded_->merge_latency()
-          : (executor_ != nullptr ? &executor_->output_latency() : nullptr);
-  if (latency != nullptr && latency->count() > 0) {
-    out += StrCat("latency (ingress->sink, sampled): ", latency->Summary(),
+  if (em.latency.count() > 0) {
+    out += StrCat("latency (ingress->sink, sampled): ", em.latency.Summary(),
                   "\n");
   }
-  const ShareIndex* index =
-      sharded_ != nullptr
-          ? (shard_indexes_.empty() ? nullptr : shard_indexes_[0].get())
-          : share_index_.get();
-  if (index != nullptr) {
-    const ShareIndex::Stats s = index->GetStats();
+  if (em.share_index.present) {
+    const EngineMetrics::ShareIndexStats& s = em.share_index;
     out += StrCat("share index: exact=", s.exact_entries,
                   " member=", s.member_entries,
                   " index_targets=", s.index_target_entries,
@@ -744,57 +669,61 @@ std::string StreamEngine::ExplainAnalyze() const {
   return out;
 }
 
-namespace {
-void FillShareIndexStats(const ShareIndex* index, EngineMetrics* em) {
-  if (index == nullptr) return;
-  const ShareIndex::Stats s = index->GetStats();
-  em->share_index.present = true;
-  em->share_index.exact_entries = s.exact_entries;
-  em->share_index.member_entries = s.member_entries;
-  em->share_index.index_target_entries = s.index_target_entries;
-  em->share_index.sel_single_entries = s.sel_single_entries;
-  em->share_index.agg_target_entries = s.agg_target_entries;
-  em->share_index.posting_entries = s.posting_entries;
-  em->share_index.approx_bytes = s.approx_bytes;
-}
-}  // namespace
-
 EngineMetrics StreamEngine::CollectMetrics() const {
-  if (sharded_ != nullptr) {
-    sharded_->Flush();
-    EngineMetrics em = CollectEngineMetrics(sharded_->plan(0), stats_, 0);
-    em.shards = sharded_->num_shards();
-    em.shard_rows = sharded_->ShardRows();
-    // End-to-end latency: push call to ordered-merge delivery, recorded on
-    // the control thread.
-    em.latency = sharded_->merge_latency();
-    // Shard 0's share index stands in (replicas stay identical); workers are
-    // quiesced by the Flush above.
-    FillShareIndexStats(
-        shard_indexes_.empty() ? nullptr : shard_indexes_[0].get(), &em);
-    // Per-m-op rows: sum every replica's counters by m-op id. Data-plane
-    // counters: sum each worker's published snapshot plus this (control)
-    // thread's own, which pays for the ordered-merge decode.
-    DataPlaneCounters totals = DataPlaneCounters::Capture();
-    int64_t deliveries = 0;
-    for (const EngineMetrics::ShardRow& row : em.shard_rows) {
-      if (row.shard > 0) AccumulateShardPlan(&em, sharded_->plan(row.shard));
-      totals += row.counters;
-      deliveries += row.deliveries;
-    }
-    em.deliveries = deliveries;
-    SetDataPlaneCounters(&em, totals);
-    em.queries = num_queries();
-    for (const Query& q : queries_) {
-      if (q.root == nullptr) continue;  // tombstone
-      em.query_rows.push_back({q.name, OutputCount(q.name)});
-    }
-    return em;
+  // Per-replica readings, each taken on the replica's own thread. Before
+  // Start the (empty) configuring plan stands in.
+  struct Replica {
+    const Plan* plan = nullptr;
+    const Executor* exec = nullptr;
+    DataPlaneCounters counters;
+  };
+  std::vector<Replica> replicas(
+      1, Replica{&plan_, nullptr, DataPlaneCounters::Capture()});
+  ShardedExecutor* sharded = Quiesce();
+  if (started()) {
+    replicas.resize(shard_count_);
+    RUMOR_CHECK(
+        OnReplicas([&](int shard, Plan& plan, Executor& exec) -> Status {
+          replicas[shard] = {&plan, &exec, DataPlaneCounters::Capture()};
+          return Status::OK();
+        }).ok());
   }
-  EngineMetrics em = CollectEngineMetrics(
-      plan_, stats_, executor_ != nullptr ? executor_->deliveries() : 0);
-  if (executor_ != nullptr) em.latency = executor_->output_latency();
-  FillShareIndexStats(share_index_.get(), &em);
+  int64_t deliveries = 0;
+  for (const Replica& r : replicas) {
+    if (r.exec != nullptr) deliveries += r.exec->deliveries();
+  }
+  EngineMetrics em =
+      CollectEngineMetrics(*replicas[0].plan, stats_, deliveries);
+  DataPlaneCounters totals = replicas[0].counters;
+  for (size_t s = 1; s < replicas.size(); ++s) {
+    AccumulateShardPlan(&em, *replicas[s].plan);
+    totals += replicas[s].counters;
+  }
+  if (replicas[0].exec != nullptr) {
+    em.latency = replicas[0].exec->output_latency();
+  }
+  if (sharded != nullptr) {
+    em.shards = sharded->num_shards();
+    em.shard_rows = sharded->ShardRows();
+    // End-to-end latency: push call to ordered-merge delivery, recorded on
+    // the control thread, whose own counters (the merge decode) join the
+    // workers'.
+    em.latency = sharded->merge_latency();
+    totals += DataPlaneCounters::Capture();
+  }
+  SetDataPlaneCounters(&em, totals);
+  // Shard 0's share index stands in (replicas stay identical).
+  if (!share_indexes_.empty() && share_indexes_[0] != nullptr) {
+    const ShareIndex::Stats s = share_indexes_[0]->GetStats();
+    em.share_index.present = true;
+    em.share_index.exact_entries = s.exact_entries;
+    em.share_index.member_entries = s.member_entries;
+    em.share_index.index_target_entries = s.index_target_entries;
+    em.share_index.sel_single_entries = s.sel_single_entries;
+    em.share_index.agg_target_entries = s.agg_target_entries;
+    em.share_index.posting_entries = s.posting_entries;
+    em.share_index.approx_bytes = s.approx_bytes;
+  }
   // Only the engine knows live query names and delivered counts; a raw-plan
   // caller gets empty query_rows.
   em.queries = num_queries();

@@ -145,7 +145,7 @@ class StreamEngine {
   Status RestoreFromFile(const std::string& path);
 
   // --- observability -----------------------------------------------------------
-  bool started() const { return executor_ != nullptr || sharded_ != nullptr; }
+  bool started() const { return sink_ != nullptr; }
   int num_queries() const { return static_cast<int>(query_index_.size()); }
   // Cumulative: Start()-time merge counts plus the dynamic_* /
   // incremental_* fields maintained by live AddQuery/RemoveQuery.
@@ -160,7 +160,9 @@ class StreamEngine {
   std::string ExplainAnalyze() const;
   // Full engine snapshot: sharing quality + optimizer history + per-m-op and
   // per-query counters + data-plane fast-path efficacy. Serialize with
-  // ToString() / ToJson().
+  // ToString() / ToJson(). A sharded engine reads each replica on its
+  // worker, so neither this nor ExplainAnalyze may be called from inside an
+  // output handler there.
   EngineMetrics CollectMetrics() const;
   // Tunes metric collection (currently: eval-timing sample period). Cheap
   // counters are always on (unless compiled out via RUMOR_METRICS=OFF);
@@ -193,11 +195,12 @@ class StreamEngine {
   std::string MetricsHistoryJson() const;
 
   // --- testing hooks -----------------------------------------------------------
-  // The live share-point index (single-threaded mode; nullptr before Start
-  // or when options.use_share_index is off) and the plan it indexes. The
-  // churn stress compares the index against a from-scratch rebuild.
+  // The live share-point index of shard 0's replica (nullptr before Start
+  // or when options.use_share_index is off) and, on one shard, the plan it
+  // indexes. The churn stress compares the index against a from-scratch
+  // rebuild.
   const ShareIndex* share_index_for_testing() const {
-    return share_index_.get();
+    return share_indexes_.empty() ? nullptr : share_indexes_[0].get();
   }
   Plan* mutable_plan_for_testing() { return &plan_; }
   // The plan queries run against: shard 0's replica when sharded (read it
@@ -224,7 +227,19 @@ class StreamEngine {
   void RefreshSourceIds();
   // The plan queries run against: shard 0's replica when sharded (callers
   // must quiesce first), the engine-owned plan otherwise.
-  const Plan& ActivePlan() const;
+  const Plan& ActivePlan() const { return *replica0_; }
+  // Runs `fn` once on every plan replica: inline on plan_/executor_ on one
+  // shard (no rings), through ShardedExecutor::MutateShards — quiesced, ON
+  // each worker thread — on N. Requires Start(); callers check busy() first
+  // when `fn` mutates the plan.
+  Status OnReplicas(const ShardedExecutor::ShardCommand& fn) const;
+  // True while an output handler runs: plan mutations, checkpoints and
+  // (sharded) re-entrant pushes are illegal in this window.
+  bool busy() const;
+  // Blocks until every pushed tuple's outputs are delivered. Returns the
+  // sharded executor, for its ring rows, merge latency and routing table,
+  // or nullptr on one shard.
+  ShardedExecutor* Quiesce() const;
 
   OptimizerOptions options_;
   MetricsOptions metrics_options_;
@@ -249,14 +264,17 @@ class StreamEngine {
   std::unordered_map<std::string, int> query_index_;
   OutputHandler handler_;
 
+  // The single-threaded replica (unused when sharded; ShardedExecutor's
+  // workers own those replicas).
   Plan plan_;
-  // Persistent share-point index over plan_, built at Start() and kept in
-  // sync from the plan's mutation log; every live AddQuery resolves its
-  // merges through it (rules/share_index.h). Sharded mode keeps one per
-  // shard replica instead. Null when options_.use_share_index is off (the
-  // scan-based oracle path).
-  std::unique_ptr<ShareIndex> share_index_;
-  std::vector<std::unique_ptr<ShareIndex>> shard_indexes_;
+  // Shard 0's replica: plan_, or the first worker's when sharded.
+  const Plan* replica0_ = &plan_;
+  // Persistent share-point index per replica, built at Start() before the
+  // optimizer runs (which it seeds) and kept in sync from the plan's
+  // mutation log; every live AddQuery resolves its merges through it
+  // (rules/share_index.h). Entries are null when options_.use_share_index
+  // is off (the scan-based oracle path).
+  std::vector<std::unique_ptr<ShareIndex>> share_indexes_;
   OptimizeStats stats_;
   std::unique_ptr<HandlerSink> sink_;
   std::unique_ptr<Executor> executor_;

@@ -94,20 +94,15 @@ RumorRun RunRumorSharded(const std::vector<Query>& queries,
   RUMOR_CHECK(batch_size > 0);
   RUMOR_CHECK(num_shards >= 1);
   RumorRun run;
-  auto factory = [&queries, &options](Plan* plan,
+  auto factory = [&queries, &options](int, Plan* plan,
                                       OptimizeStats* stats) -> Status {
     auto compiled = CompileQueries(queries, plan);
     if (!compiled.ok()) return compiled.status();
     *stats = Optimize(plan, options);
     return Status::OK();
   };
-  // Scratch replica for the stream count: the counting lanes must be fully
-  // pre-sized before workers run (growing them mid-flight would race).
-  Plan scratch;
-  OptimizeStats scratch_stats;
-  RUMOR_CHECK(factory(&scratch, &scratch_stats).ok());
-  ShardedCountingSink sink(num_shards,
-                           static_cast<StreamId>(scratch.streams().size()));
+  // The ordered merge delivers every output on this (the pushing) thread.
+  CountingSink sink;
 
   ShardedExecutor::Options ex_options;
   ex_options.num_shards = num_shards;
@@ -115,6 +110,7 @@ RumorRun RunRumorSharded(const std::vector<Query>& queries,
   RUMOR_CHECK(exec.Prepare().ok());
   run.optimize_stats = exec.optimize_stats();
   run.live_mops = static_cast<int>(exec.plan(0).LiveMops().size());
+  sink.Reserve(static_cast<StreamId>(exec.plan(0).streams().size()));
   std::vector<StreamId> streams;
   for (const std::string& name : stream_names) {
     auto id = exec.plan(0).streams().FindSource(name);

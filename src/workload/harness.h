@@ -44,12 +44,13 @@ RumorRun RunRumorBatched(
     const std::vector<std::string>& stream_names = {"S", "T"});
 
 // Partition-parallel variant: the same batched feed pushed through a
-// ShardedExecutor with `num_shards` workers (plan/sharded_executor.h) in
-// lanes mode — outputs are counted per shard with no cross-thread traffic,
-// mirroring what a scale-out deployment measures. The timed region includes
-// the final Flush(), so reported throughput covers full processing, not
-// just enqueueing. num_shards == 1 measures the sharded machinery's
-// single-worker overhead (ring hops + rematerialization) against RunRumor.
+// ShardedExecutor with `num_shards` workers (plan/sharded_executor.h), whose
+// ordered merge delivers every output into one CountingSink on the pushing
+// thread — the path StreamEngine::SetShardCount runs. The timed region
+// includes the final Flush(), so reported throughput covers full processing
+// and the merge, not just enqueueing. num_shards == 1 measures the sharded
+// machinery's single-worker overhead (ring hops + rematerialization)
+// against RunRumor.
 RumorRun RunRumorSharded(
     const std::vector<Query>& queries, const OptimizerOptions& options,
     const std::vector<Event>& events, int64_t warmup, int64_t batch_size,

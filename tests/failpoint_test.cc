@@ -154,9 +154,11 @@ TEST_F(FailpointTest, ShortReadAndBitFlipAreCaughtByValidation) {
 
 // A stalled shell acquisition must only slow the sharded ingress down,
 // never change what comes out: outputs under a 20% spurious free-ring miss
-// rate match the unfaulted run exactly.
+// rate match the unfaulted run exactly. A miss takes the slow path (drain
+// the merge, then retry), whose time the push-stall gauge accounts.
 TEST_F(FailpointTest, SpscAcquireStallPreservesShardedOutputs) {
-  auto run = [] {
+  int64_t stall_ns = 0;
+  auto run = [&stall_ns] {
     StreamEngine engine;
     EXPECT_TRUE(engine.SetShardCount(2).ok());
     std::vector<std::string> out;
@@ -175,6 +177,11 @@ TEST_F(FailpointTest, SpscAcquireStallPreservesShardedOutputs) {
           engine.Push("S", Tuple::MakeInts({i % 7, (i * 31) % 100}, i)).ok());
     }
     engine.Flush();
+    stall_ns = 0;
+    for (const EngineMetrics::ShardRow& row :
+         engine.CollectMetrics().shard_rows) {
+      stall_ns += row.push_stall_ns;
+    }
     return out;
   };
   const std::vector<std::string> clean = run();
@@ -183,6 +190,9 @@ TEST_F(FailpointTest, SpscAcquireStallPreservesShardedOutputs) {
   const std::vector<std::string> faulted = run();
   EXPECT_EQ(faulted, clean);
   EXPECT_GT(failpoint::HitCount("spsc/acquire-stall"), 0);
+#if RUMOR_METRICS_ENABLED
+  EXPECT_GT(stall_ns, 0) << "forced stalls must reach the stall gauge";
+#endif
 }
 
 TEST_F(FailpointTest, ArenaAllocFailpointForcesHeapPath) {

@@ -296,7 +296,7 @@ TEST(HotpathEquivalenceTest, MixedPlanWithSequencesFuzz) {
 
 // --- sharded vs single-threaded equivalence ----------------------------------
 
-// Runs the feed through a ShardedExecutor (ordered merge mode) and renders
+// Runs the feed through a ShardedExecutor's ordered merge and renders
 // per-query outputs like RunOnce. Batch pushes relax the cross-shard
 // interleaving *within one epoch*, so callers compare sorted multisets.
 RunResult RunSharded(const std::vector<Query>& queries, const Feed& feed,
@@ -307,13 +307,13 @@ RunResult RunSharded(const std::vector<Query>& queries, const Feed& feed,
   options.num_shards = num_shards;
   ShardedExecutor exec(
       options,
-      [&queries](Plan* plan, OptimizeStats* stats) {
+      [&queries](int, Plan* plan, OptimizeStats* stats) {
         auto compiled = CompileQueries(queries, plan);
         if (!compiled.ok()) return compiled.status();
         *stats = Optimize(plan);
         return Status::OK();
       },
-      static_cast<OutputSink*>(&sink));
+      &sink);
   RUMOR_CHECK(exec.Prepare().ok());
   std::vector<StreamId> streams;
   for (const std::string& name : stream_names) {

@@ -1,10 +1,10 @@
 // Partition-parallel executor tests: the SPSC ring, the shard analysis
-// (routing table derivation), the ordered merge, the shard-aware sinks,
-// query churn on a running sharded engine, backpressure under tiny rings,
-// and cross-shard metrics aggregation.
+// (routing table derivation), the ordered merge, query churn on a running
+// sharded engine, replica identity across shard counts, backpressure under
+// tiny rings, and cross-shard metrics aggregation.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -13,11 +13,15 @@
 #include "api/stream_engine.h"
 #include "common/rng.h"
 #include "plan/compile.h"
+#include "plan/explain.h"
 #include "plan/shard.h"
 #include "plan/sharded_executor.h"
 #include "plan/spsc_queue.h"
 #include "query/builder.h"
 #include "rules/rule_engine.h"
+#include "workload/perfmon.h"
+#include "workload/synthetic.h"
+#include "workload/workloads.h"
 
 namespace rumor {
 namespace {
@@ -223,31 +227,41 @@ TEST(AnalyzeShardingTest, ShardOfTupleAgreesAcrossNumericRepresentations) {
 
 // --- ordered merge determinism ----------------------------------------------
 
+// Records every merged output as "stream:tuple@ts", in delivery order.
+class LogSink : public OutputSink {
+ public:
+  void OnOutput(StreamId stream, const Tuple& tuple) override {
+    log.push_back(std::to_string(stream) + ":" + tuple.ToString() + "@" +
+                  std::to_string(tuple.ts()));
+  }
+  std::vector<std::string> log;
+};
+
 // Per-tuple pushes make every epoch a single tuple, so the ordered merge
 // must reproduce the single-threaded output sequence *exactly* — byte for
-// byte, across any shard count.
+// byte, across any shard count. Two-slot input rings keep the pusher
+// stalling on a busy worker, draining the merge while it routes; repeated
+// runs vary where those stalls land.
 TEST(ShardedExecutorTest, PerTuplePushesReproduceSingleThreadedOrder) {
   Schema schema = IntSchema(3);
-  auto make_engine = [&](int shards, std::vector<std::string>* log) {
-    auto engine = std::make_unique<StreamEngine>();
-    RUMOR_CHECK(engine->RegisterSource("S", schema).ok());
-    RUMOR_CHECK(engine->SetShardCount(shards).ok());
-    RUMOR_CHECK(
-        engine->AddQueryText("SELECT * FROM S WHERE a0 < 3", "SEL").ok());
-    RUMOR_CHECK(engine
-                    ->AddQueryText(
-                        "SELECT a0, SUM(a1) FROM S [RANGE 16] GROUP BY a0",
-                        "AGG")
-                    .ok());
-    engine->SetOutputHandler([log](const std::string& q, const Tuple& t) {
-      log->push_back(q + ":" + t.ToString() + "@" + std::to_string(t.ts()));
-    });
-    RUMOR_CHECK(engine->Start().ok());
-    return engine;
+  Catalog catalog;
+  catalog.AddSource("S", schema);
+  std::vector<Query> queries;
+  for (const auto& [text, name] :
+       {std::pair{"SELECT * FROM S WHERE a0 < 3", "SEL"},
+        std::pair{"SELECT a0, SUM(a1) FROM S [RANGE 16] GROUP BY a0",
+                  "AGG"}}) {
+    auto parsed = ParseQuery(text, catalog);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    queries.push_back(std::move(parsed).value());
+    queries.back().name = name;
+  }
+  auto build = [&queries](int, Plan* plan, OptimizeStats* stats) {
+    auto compiled = CompileQueries(queries, plan);
+    if (!compiled.ok()) return compiled.status();
+    *stats = Optimize(plan);
+    return Status::OK();
   };
-
-  std::vector<std::string> reference_log;
-  auto reference = make_engine(1, &reference_log);
   Rng rng(42);
   std::vector<Tuple> feed;
   for (int i = 0; i < 500; ++i) {
@@ -255,14 +269,31 @@ TEST(ShardedExecutorTest, PerTuplePushesReproduceSingleThreadedOrder) {
         {rng.UniformInt(0, 5), rng.UniformInt(0, 99), rng.UniformInt(0, 9)},
         i));
   }
-  for (const Tuple& t : feed) ASSERT_TRUE(reference->Push("S", t).ok());
 
+  Plan plan;
+  OptimizeStats stats;
+  ASSERT_TRUE(build(0, &plan, &stats).ok());
+  LogSink reference;
+  Executor single(&plan, &reference);
+  single.Prepare();
+  const StreamId source = SourceId(plan, "S");
+  for (const Tuple& t : feed) single.PushSource(source, t);
+  ASSERT_FALSE(reference.log.empty());
+
+  constexpr int kRepeats = 50;
   for (int shards : {2, 4, 7}) {
-    std::vector<std::string> log;
-    auto engine = make_engine(shards, &log);
-    for (const Tuple& t : feed) ASSERT_TRUE(engine->Push("S", t).ok());
-    engine->Flush();
-    EXPECT_EQ(log, reference_log) << "shards=" << shards;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      LogSink merged;
+      ShardedExecutor::Options options;
+      options.num_shards = shards;
+      options.in_ring = 2;
+      ShardedExecutor exec(options, build, &merged);
+      ASSERT_TRUE(exec.Prepare().ok());
+      for (const Tuple& t : feed) exec.PushSource(source, t);
+      exec.Flush();
+      ASSERT_EQ(merged.log, reference.log)
+          << "shards=" << shards << " repeat=" << rep;
+    }
   }
 }
 
@@ -279,13 +310,13 @@ TEST(ShardedExecutorTest, BackpressureWithTinyRings) {
   options.out_ring = 2;
   ShardedExecutor exec(
       options,
-      [&queries](Plan* plan, OptimizeStats* stats) {
+      [&queries](int, Plan* plan, OptimizeStats* stats) {
         auto compiled = CompileQueries(queries, plan);
         if (!compiled.ok()) return compiled.status();
         *stats = Optimize(plan);
         return Status::OK();
       },
-      static_cast<OutputSink*>(&sink));
+      &sink);
   ASSERT_TRUE(exec.Prepare().ok());
   const StreamId s = SourceId(exec.plan(0), "S");
 
@@ -302,65 +333,6 @@ TEST(ShardedExecutorTest, BackpressureWithTinyRings) {
   exec.Flush();
   EXPECT_EQ(sink.total(), int64_t{kBatches} * kPerBatch);
   exec.Stop();
-}
-
-// --- shard-aware sinks (lanes mode) ------------------------------------------
-
-TEST(ShardedSinkTest, CountingAndCollectingLanesMerge) {
-  Schema schema = IntSchema(2);
-  std::vector<Query> queries = {
-      QueryBuilder::FromSource("S", schema).Select("a0 = 1").Build("ONES")};
-  auto factory = [&queries](Plan* plan, OptimizeStats* stats) {
-    auto compiled = CompileQueries(queries, plan);
-    if (!compiled.ok()) return compiled.status();
-    *stats = Optimize(plan);
-    return Status::OK();
-  };
-
-  // Counting lanes.
-  {
-    ShardedCountingSink sink(4, 64);
-    ShardedExecutor::Options options;
-    options.num_shards = 4;
-    ShardedExecutor exec(options, factory, &sink);
-    ASSERT_TRUE(exec.Prepare().ok());
-    const StreamId s = SourceId(exec.plan(0), "S");
-    std::vector<Tuple> batch;
-    for (int i = 0; i < 1000; ++i) {
-      batch.push_back(Tuple::MakeInts({i % 3, i}, i));
-    }
-    exec.PushSourceBatch(s, batch);
-    exec.Flush();
-    // a0 cycles 0,1,2 -> 333 ones in [0,1000).
-    EXPECT_EQ(sink.total(), 333);
-    auto out = exec.plan(0).OutputStreamOf("ONES");
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(sink.ForStream(*out), 333);
-  }
-  // Collecting lanes: flat rows, no cross-thread tuples.
-  {
-    ShardedCollectingSink sink(3);
-    ShardedExecutor::Options options;
-    options.num_shards = 3;
-    ShardedExecutor exec(options, factory, &sink);
-    ASSERT_TRUE(exec.Prepare().ok());
-    const StreamId s = SourceId(exec.plan(0), "S");
-    std::vector<Tuple> batch;
-    for (int i = 0; i < 30; ++i) batch.push_back(Tuple::MakeInts({1, i}, i));
-    exec.PushSourceBatch(s, batch);
-    exec.Flush();
-    auto out = exec.plan(0).OutputStreamOf("ONES");
-    ASSERT_TRUE(out.has_value());
-    std::vector<ShardedCollectingSink::Row> rows = sink.RowsForStream(*out);
-    ASSERT_EQ(rows.size(), 30u);
-    std::vector<int64_t> seen;
-    for (const auto& row : rows) {
-      ASSERT_EQ(row.values.size(), 2u);
-      seen.push_back(row.values[1].AsInt());
-    }
-    std::sort(seen.begin(), seen.end());
-    for (int i = 0; i < 30; ++i) EXPECT_EQ(seen[i], i);
-  }
 }
 
 // --- query churn on a running sharded engine ---------------------------------
@@ -413,6 +385,63 @@ TEST(ShardedEngineTest, AddAndRemoveQueriesWhileRunning) {
   EXPECT_FALSE(engine.RemoveQuery("GHOST").ok());
   push_round(4);
   EXPECT_EQ(counts["Q2"], 21);
+}
+
+// --- replica identity --------------------------------------------------------
+
+// Every replica is built the same way (compile, share index, seeded
+// optimizer), so a sharded engine's replicas must equal the one-shard plan
+// m-op for m-op, id for id.
+std::string StartedPlan(int shards,
+                        const std::function<void(StreamEngine*)>& setup) {
+  StreamEngine engine;
+  RUMOR_CHECK(engine.SetShardCount(shards).ok());
+  setup(&engine);
+  RUMOR_CHECK(engine.Start().ok());
+  return ExplainPlan(engine.plan_for_testing());
+}
+
+void ExpectReplicasMatchOneShard(
+    const std::function<void(StreamEngine*)>& setup) {
+  const std::string one = StartedPlan(1, setup);
+  for (int shards : {2, 4}) {
+    EXPECT_EQ(StartedPlan(shards, setup), one) << "shards=" << shards;
+  }
+}
+
+TEST(ShardedEngineTest, ReplicasMatchOneShardPlanOnWorkload1) {
+  // fig9a's standing set: 1000 Workload-1 queries at the Table-3 defaults.
+  ExpectReplicasMatchOneShard([](StreamEngine* engine) {
+    SyntheticParams params;
+    const Schema schema = params.MakeSchema();
+    RUMOR_CHECK(engine->RegisterSource("S", schema).ok());
+    RUMOR_CHECK(engine->RegisterSource("T", schema).ok());
+    Rng rng(params.seed);
+    const std::vector<W1Spec> specs = DrawW1Specs(params, rng);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      RUMOR_CHECK(engine
+                      ->AddQuery(MakeW1Query("Q" + std::to_string(i),
+                                             specs[i], schema))
+                      .ok());
+    }
+  });
+}
+
+TEST(ShardedEngineTest, ReplicasMatchOneShardPlanOnPerfmonAggregates) {
+  // 20 windowed GROUP BY aggregates over the perfmon stream, merged by sα.
+  ExpectReplicasMatchOneShard([](StreamEngine* engine) {
+    RUMOR_CHECK(engine->RegisterSource("CPU", PerfmonSchema()).ok());
+    const char* const fns[] = {"MIN", "MAX", "AVG", "SUM"};
+    for (int i = 0; i < 20; ++i) {
+      RUMOR_CHECK(engine
+                      ->AddQueryText(std::string("SELECT pid, ") + fns[i % 4] +
+                                         "(load) FROM CPU [RANGE " +
+                                         std::to_string(60 + 12 * i + i % 5) +
+                                         "] GROUP BY pid",
+                                     "A" + std::to_string(i))
+                      .ok());
+    }
+  });
 }
 
 // --- metrics aggregation -----------------------------------------------------
