@@ -189,9 +189,8 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
   if (busy()) return Status::Internal("cannot add queries from inside a push");
   // Compile the new query standalone into every replica, rolling back every
   // half-lowered m-op/channel/stream if compilation fails midway, then merge
-  // it incrementally onto warm shared operators: O(1) share-index probes per
-  // fresh m-op in the default configuration, the whole-plan scan oracle
-  // otherwise. Sharded, this runs ON each worker thread (replicas stay
+  // it incrementally onto warm shared operators with O(1) share-index probes
+  // per fresh m-op. Sharded, this runs ON each worker thread (replicas stay
   // identical because the sequence is deterministic), so backfill tuples
   // land on the arena of the thread that owns them.
   IncrementalMergeStats merged;
@@ -203,11 +202,8 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
           plan.RollbackTo(marker);
           return compiled.status();
         }
-        ShareIndex* index = share_indexes_[shard].get();
-        const IncrementalMergeStats stats =
-            index != nullptr ? MergeNewQueryIndexed(&plan, index,
-                                                    marker.num_mops, options_)
-                             : MergeNewQuery(&plan, options_);
+        const IncrementalMergeStats stats = MergeNewQueryIndexed(
+            &plan, share_indexes_[shard].get(), marker.num_mops, options_);
         if (shard == 0) merged = stats;
         exec.Refresh();  // validates the plan
         return Status::OK();
@@ -259,7 +255,7 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
           if (shard == 0) pruned = stats;
           // Keep the share index current (O(delta)) so a long removal run
           // cannot outgrow the plan's event log between adds.
-          if (share_indexes_[shard] != nullptr) share_indexes_[shard]->Sync();
+          share_indexes_[shard]->Sync();
           exec.Refresh();  // validates the plan
           return Status::OK();
         }));
@@ -294,15 +290,18 @@ Status StreamEngine::Start() {
   // share points, then run the optimizer seeded with that index. Sharded,
   // each worker builds its own replica and index from the shared (read-only
   // here) query list; the build is deterministic, so replica ids line up
-  // across shards.
+  // across shards. A failed compile rolls the replica back to empty: plan_
+  // outlives a failed Start(), and a retry compiles into it again.
   share_indexes_.resize(shard_count_);
   PlanFactory build = [this](int shard, Plan* plan,
                              OptimizeStats* stats) -> Status {
+    const Plan::Marker empty = plan->Mark();
     auto compiled = CompileQueries(queries_, plan);
-    if (!compiled.ok()) return compiled.status();
-    if (options_.use_share_index) {
-      share_indexes_[shard] = std::make_unique<ShareIndex>(plan);
+    if (!compiled.ok()) {
+      plan->RollbackTo(empty);
+      return compiled.status();
     }
+    share_indexes_[shard] = std::make_unique<ShareIndex>(plan);
     *stats = Optimize(plan, options_, share_indexes_[shard].get());
     return Status::OK();
   };
@@ -602,8 +601,9 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   if (!merged_or.ok()) return merged_or.status();
   const std::vector<MopState> merged = std::move(merged_or).value();
 
-  // Stage 2: rebuild the engine — sources, queries (replaying the
-  // incremental merge onto this engine's shard count), then the plan(s).
+  // Stage 2: rebuild the engine — sources, queries (added before Start, so
+  // the batch optimizer builds the plan(s) on this engine's shard count),
+  // then Start.
   for (RegisteredSource& src : sources) {
     RUMOR_RETURN_IF_ERROR(
         RegisterSource(src.name, std::move(src.schema), src.sharable_label));
@@ -713,7 +713,7 @@ EngineMetrics StreamEngine::CollectMetrics() const {
   }
   SetDataPlaneCounters(&em, totals);
   // Shard 0's share index stands in (replicas stay identical).
-  if (!share_indexes_.empty() && share_indexes_[0] != nullptr) {
+  if (!share_indexes_.empty()) {
     const ShareIndex::Stats s = share_indexes_[0]->GetStats();
     em.share_index.present = true;
     em.share_index.exact_entries = s.exact_entries;

@@ -133,10 +133,11 @@ class StreamEngine {
   Status Checkpoint(std::string* out) const;
   Status CheckpointToFile(const std::string& path) const;
   // Rebuilds this (fresh: not started, no queries added) engine from a
-  // snapshot: re-registers the saved sources, re-adds the saved queries —
-  // replaying the incremental merge, so the restored shared plan may be
-  // shaped differently — starts the engine, and loads the saved operator
-  // state into the matching members (matched by structural fingerprint,
+  // snapshot: re-registers the saved sources, re-adds the saved queries
+  // before starting the engine — so the batch optimizer builds the restored
+  // shared plan, which may be shaped differently from a plan grown by live
+  // adds and removes — and loads the saved operator state into the
+  // matching members (matched by structural fingerprint,
   // plan/fingerprint.h). The snapshot is fully validated before any engine
   // state is touched. The restored engine may run any shard count (call
   // SetShardCount first): a sharded checkpoint is merged into one logical
@@ -195,10 +196,9 @@ class StreamEngine {
   std::string MetricsHistoryJson() const;
 
   // --- testing hooks -----------------------------------------------------------
-  // The live share-point index of shard 0's replica (nullptr before Start
-  // or when options.use_share_index is off) and, on one shard, the plan it
-  // indexes. The churn stress compares the index against a from-scratch
-  // rebuild.
+  // The live share-point index of shard 0's replica (nullptr before Start)
+  // and, on one shard, the plan it indexes. The churn stress compares the
+  // index against a from-scratch rebuild.
   const ShareIndex* share_index_for_testing() const {
     return share_indexes_.empty() ? nullptr : share_indexes_[0].get();
   }
@@ -272,8 +272,7 @@ class StreamEngine {
   // Persistent share-point index per replica, built at Start() before the
   // optimizer runs (which it seeds) and kept in sync from the plan's
   // mutation log; every live AddQuery resolves its merges through it
-  // (rules/share_index.h). Entries are null when options_.use_share_index
-  // is off (the scan-based oracle path).
+  // (rules/share_index.h).
   std::vector<std::unique_ptr<ShareIndex>> share_indexes_;
   OptimizeStats stats_;
   std::unique_ptr<HandlerSink> sink_;

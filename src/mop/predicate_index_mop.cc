@@ -4,16 +4,6 @@
 
 namespace rumor {
 
-namespace {
-bool g_flat_probe_enabled = true;
-}  // namespace
-
-void PredicateIndexMop::SetFlatProbeEnabled(bool enabled) {
-  g_flat_probe_enabled = enabled;
-}
-
-bool PredicateIndexMop::flat_probe_enabled() { return g_flat_probe_enabled; }
-
 PredicateIndexMop::PredicateIndexMop(std::vector<SelectionDef> members,
                                      OutputMode mode)
     : Mop(MopType::kPredicateIndex, /*num_inputs=*/1,
@@ -45,8 +35,7 @@ void PredicateIndexMop::IndexMember(int i) {
     ++place.index;
   }
   if (place.index == static_cast<int>(indexes_.size())) {
-    indexes_.push_back(AttrIndex{shape.equality->attr, {},
-                                 g_flat_probe_enabled, {}, {}, {}});
+    indexes_.push_back(AttrIndex{shape.equality->attr, {}, true, {}, {}, {}});
   }
   AttrIndex* index = &indexes_[place.index];
   IndexedMember im;

@@ -56,11 +56,6 @@ class PredicateIndexMop : public Mop {
   int64_t flat_probes() const { return flat_probes_; }
   int64_t map_probes() const { return map_probes_; }
 
-  // Disables the flat int probe for m-ops constructed afterwards (ablation
-  // benchmarks and equivalence tests; production leaves it on).
-  static void SetFlatProbeEnabled(bool enabled);
-  static bool flat_probe_enabled();
-
   // --- dynamic membership (online query churn) -------------------------------
   // Adds a member selection (a new query's σ snaps onto the warm index).
   // Selections are stateless, so this is always safe. The lowest retired

@@ -10,30 +10,17 @@ uint64_t AggMemberSpec::Signature() const {
   return h;
 }
 
-namespace {
-MinMaxImpl g_default_min_max_impl = MinMaxImpl::kTwoStacks;
-}  // namespace
-
-void SharedAggEngine::SetDefaultMinMaxImpl(MinMaxImpl impl) {
-  g_default_min_max_impl = impl;
-}
-
-MinMaxImpl SharedAggEngine::default_min_max_impl() {
-  return g_default_min_max_impl;
-}
-
 SharedAggEngine::SharedAggEngine(std::vector<AggMemberSpec> members)
     : members_(std::move(members)),
       states_(members_.size()),
-      active_(members_.size(), 1),
-      impl_(g_default_min_max_impl) {
+      active_(members_.size(), 1) {
   RUMOR_CHECK(!members_.empty());
   for (const AggMemberSpec& m : members_) {
     RUMOR_CHECK(m.fn == members_[0].fn && m.attr == members_[0].attr)
         << "shared aggregation requires identical fn and attribute";
     RUMOR_CHECK(m.window > 0) << "aggregate window must be positive";
     max_window_ = std::max(max_window_, m.window);
-    if (m.fn == AggFn::kMin || m.fn == AggFn::kMax) need_ordered_ = true;
+    if (m.fn == AggFn::kMin || m.fn == AggFn::kMax) min_max_ = true;
   }
   is_min_ = members_[0].fn == AggFn::kMin;
 }
@@ -54,25 +41,14 @@ void SharedAggEngine::Apply(int member, const Entry& e, int sign) {
       // instead of drifting (and staying double) forever.
       if (g.double_count == 0) g.dsum = 0.0;
     }
-    if (need_ordered_) {
+    if (min_max_) {
       // Per (member, group), entries enter and leave in timestamp order
       // (insertions append to the shared log; the expiry cursor walks it
-      // front to back) — a FIFO discipline, which is what lets the
-      // two-stacks scheme replace the ordered multiset.
-      if (impl_ == MinMaxImpl::kTwoStacks) {
-        if (sign > 0) {
-          g.extrema.Push(e.value, is_min_);
-        } else {
-          g.extrema.PopFront(e.value, is_min_);
-        }
+      // front to back) — the FIFO discipline the two-stacks scheme needs.
+      if (sign > 0) {
+        g.extrema.Push(e.value, is_min_);
       } else {
-        if (sign > 0) {
-          g.ordered.insert(e.value);
-        } else {
-          auto it = g.ordered.find(e.value);
-          RUMOR_DCHECK(it != g.ordered.end());
-          if (it != g.ordered.end()) g.ordered.erase(it);
-        }
+        g.extrema.PopFront(e.value, is_min_);
       }
     }
   }
@@ -91,12 +67,8 @@ Value SharedAggEngine::Extract(const GroupState& g) const {
                    static_cast<double>(g.count));
     case AggFn::kMin:
     case AggFn::kMax:
-      if (impl_ == MinMaxImpl::kTwoStacks) {
-        if (g.extrema.empty()) return Value();
-        return g.extrema.Best(is_min_);
-      }
-      if (g.ordered.empty()) return Value();
-      return is_min_ ? *g.ordered.begin() : *g.ordered.rbegin();
+      if (g.extrema.empty()) return Value();
+      return g.extrema.Best(is_min_);
   }
   return Value();
 }
@@ -302,10 +274,10 @@ Status SharedAggEngine::LoadState(const AggEngineState& state,
       return Status::Internal("aggregate member mapping out of range");
     }
     // Replay the member's live entries in log (timestamp) order. This
-    // rebuilds the extrema stacks / ordered multisets under the same FIFO
-    // discipline live processing follows, and recomputes the group
-    // numerics — which are then replaced by the saved bit-exact values so
-    // restored running sums match the uninterrupted run to the last bit.
+    // rebuilds the extrema stacks under the same FIFO discipline live
+    // processing follows, and recomputes the group numerics — which are
+    // then replaced by the saved bit-exact values so restored running sums
+    // match the uninterrupted run to the last bit.
     for (size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       if (!e.membership.Test(r)) continue;
@@ -350,11 +322,9 @@ int64_t SharedAggEngine::ApproxBytes() const {
       b += kNodeOverhead + static_cast<int64_t>(sizeof(key)) +
            static_cast<int64_t>(key.values.capacity() * sizeof(Value)) +
            static_cast<int64_t>(sizeof(group));
-      // Two-stacks items live in two vectors; multiset values in tree nodes.
+      // Two-stacks items (value + running extremum) live in two vectors.
       b += static_cast<int64_t>(group.extrema.size()) * 2 *
            static_cast<int64_t>(sizeof(Value));
-      b += static_cast<int64_t>(group.ordered.size()) *
-           (static_cast<int64_t>(sizeof(Value)) + kNodeOverhead);
     }
   }
   return b;

@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <queue>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -229,11 +228,6 @@ class TwoStacksExtrema {
   std::vector<Item> back_;   // enters at the top (newest at the top)
 };
 
-// MIN/MAX maintenance implementation used by new SharedAggEngine instances;
-// kOrderedSet is the legacy std::multiset path, kept for ablation benchmarks
-// and cross-checking tests.
-enum class MinMaxImpl : uint8_t { kTwoStacks, kOrderedSet };
-
 // --- shared aggregation -------------------------------------------------------
 
 // Per-member aggregate specification. All members of one engine must share
@@ -252,13 +246,6 @@ class SharedAggEngine {
  public:
   explicit SharedAggEngine(std::vector<AggMemberSpec> members);
 
-  // Process-wide default MIN/MAX implementation, captured by each engine at
-  // construction (ablation benchmarks and cross-checking tests flip it;
-  // production code leaves the kTwoStacks default).
-  static void SetDefaultMinMaxImpl(MinMaxImpl impl);
-  static MinMaxImpl default_min_max_impl();
-  MinMaxImpl min_max_impl() const { return impl_; }
-
   // Processes tuple `t` on behalf of the members in `membership` (size =
   // #members). For each such member, updates its state and calls
   // emit(member, output) with output = (group values..., aggregate).
@@ -275,7 +262,7 @@ class SharedAggEngine {
     return states_[member].groups.size();
   }
   // Approximate heap bytes of the shared log and every member's group
-  // states (MIN/MAX stacks and ordered sets included).
+  // states (MIN/MAX stacks included).
   int64_t ApproxBytes() const;
 
   // --- dynamic membership (online query churn) -------------------------------
@@ -320,10 +307,10 @@ class SharedAggEngine {
   // Loads `state` into this freshly constructed (empty) engine.
   // `src_members[r]` names the saved engine-member index whose state
   // restored member r inherits (-1 = start empty). Entries are re-logged in
-  // saved order; extrema stacks / ordered multisets are rebuilt by
-  // replaying the log (same FIFO discipline as live processing) while the
-  // saved accumulator numerics are adopted verbatim, with the replayed
-  // per-group counts cross-checked against the saved ones.
+  // saved order; extrema stacks are rebuilt by replaying the log (same FIFO
+  // discipline as live processing) while the saved accumulator numerics are
+  // adopted verbatim, with the replayed per-group counts cross-checked
+  // against the saved ones.
   Status LoadState(const AggEngineState& state,
                    const std::vector<int>& src_members);
 
@@ -340,9 +327,7 @@ class SharedAggEngine {
     int64_t isum = 0;
     double dsum = 0.0;
     int64_t double_count = 0;
-    // MIN/MAX state — exactly one engaged, per the engine's min_max_impl().
-    TwoStacksExtrema extrema;
-    std::multiset<Value> ordered;
+    TwoStacksExtrema extrema;  // MIN/MAX only
   };
 
   struct MemberState {
@@ -370,9 +355,8 @@ class SharedAggEngine {
   std::deque<Entry> entries_;
   int64_t base_ = 0;
   int64_t max_window_ = 0;
-  bool need_ordered_ = false;  // MIN/MAX
-  bool is_min_ = false;        // kMin vs kMax (meaningful when need_ordered_)
-  MinMaxImpl impl_ = MinMaxImpl::kTwoStacks;
+  bool min_max_ = false;  // MIN/MAX: maintain extrema stacks
+  bool is_min_ = false;   // kMin vs kMax (meaningful when min_max_)
 };
 
 }  // namespace rumor

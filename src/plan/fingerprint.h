@@ -1,11 +1,12 @@
 // Structural member fingerprints for checkpoint/restore.
 //
 // A checkpoint saves operator state per *member* (one logical operator
-// inside an m-op); a restored engine rebuilds its plan by re-parsing the
-// saved query texts and replaying the incremental merge, which generally
-// yields a differently-shaped shared plan (the incremental path applies
-// only the state-preserving rule subset). M-op ids therefore do not line up
-// — state is matched by a structural fingerprint instead:
+// inside an m-op); a restored engine re-parses the saved query texts, adds
+// them all before Start(), and lets the batch optimizer build its plan. A
+// plan grown by live adds and removes (which apply only the
+// state-preserving rule subset) generally differs in shape from that batch
+// plan, so m-op ids do not line up — state is matched by a structural
+// fingerprint instead:
 //
 //   MemberFp = H(kind-class, MemberSignature, input-stream fps...)
 //   StreamFp(source)  = H("src", stream name)

@@ -448,6 +448,8 @@ Status ShardedExecutor::MutateShards(const ShardCommand& fn) {
   RUMOR_CHECK(prepared_ && !stopped_);
   RUMOR_CHECK(!delivering_) << "cannot mutate the plan from an output handler";
   Flush();
+  const Plan& replica0 = *shards_[0]->plan;
+  const uint64_t seq_before = replica0.mutation_seq();
   const int n = options_.num_shards;
   std::vector<uint64_t> target(n);
   for (int s = 0; s < n; ++s) {
@@ -469,8 +471,8 @@ Status ShardedExecutor::MutateShards(const ShardCommand& fn) {
     }
     if (result.ok() && !sh.mutate_status.ok()) result = sh.mutate_status;
   }
-  // The mutation may have added/removed streams and stateful operators.
-  RefreshSharding();
+  // A mutation may have added/removed streams and stateful operators.
+  if (replica0.mutation_seq() != seq_before) RefreshSharding();
   return result;
 }
 

@@ -103,8 +103,10 @@ class ShardedExecutor {
   // Quiesce-merge-resume: flushes, then runs `fn` once per shard ON that
   // shard's worker thread (concurrently across shards; fn must be safe to
   // run N times against distinct replicas and must not emit outputs).
-  // Returns the first non-OK status. Re-derives the routing table from the
-  // mutated plan before resuming.
+  // Returns the first non-OK status. Re-derives the routing table (and
+  // resets the round-robin cursors) only if the command mutated shard 0's
+  // plan, so read-only commands (checkpoints, metrics reads) leave routing
+  // as it was.
   Status MutateShards(const ShardCommand& fn);
 
   // Flushes, closes the rings and joins the workers (idempotent; the dtor

@@ -6,9 +6,10 @@
 // its members (plan/fingerprint.h), and serialize the records into one
 // section payload.
 //
-// Restore side: the restored engine re-parses the saved query texts and
-// replays the incremental merge, producing a generally different shared
-// plan. LoadPlanState matches saved members to restored members by
+// Restore side: the restored engine re-parses the saved query texts, adds
+// them before Start() and lets the batch optimizer build the plan, which
+// generally differs from a plan grown by live adds and removes.
+// LoadPlanState matches saved members to restored members by
 // fingerprint (FIFO in occurrence order among equal fingerprints — equal
 // fingerprints imply identical state content, so ties are interchangeable)
 // and applies Mop::LoadState with the resulting bindings. A sharded

@@ -4,8 +4,8 @@
 // the whole space — and, crucially, without disturbing the state of warm
 // shared operators.
 //
-// MergeNewQuery runs the state-preserving subset of the rule catalogue after
-// new m-ops were compiled into a live plan:
+// MergeNewQueryIndexed runs the state-preserving subset of the rule
+// catalogue after new m-ops were compiled into a live plan:
 //   * CSE — a new m-op identical to an existing one (same definition, same
 //     input channels) is absorbed by it; the existing m-op always wins, so
 //     the new query inherits its warm state (window contents, join buffers).
@@ -23,17 +23,12 @@
 // queries that would only share through those rules run unshared — correct,
 // just less shared than a restart would be.
 //
-// Two drivers implement the merge:
-//   * MergeNewQueryIndexed — the production path. Probes the persistent
-//     ShareIndex for each fresh m-op (O(1) hash lookups instead of plan
-//     scans) and applies the resulting candidates greedily in cost-benefit
-//     order (largest estimated saved work first; the benefit tiers encode
-//     rule precedence, so the greedy order refines — never contradicts —
-//     the fixed rule order). This is what makes AddQuery flat-latency out
-//     to 10^5..10^6 standing queries.
-//   * MergeNewQuery — the original scan-based path, kept as the oracle:
-//     the churn equivalence fuzz asserts both paths produce byte-identical
-//     plans and outputs on the same add/remove sequences.
+// The merge probes the persistent ShareIndex for each fresh m-op (O(1)
+// hash lookups instead of plan scans) and applies the resulting candidates
+// greedily in cost-benefit order (largest estimated saved work first; the
+// benefit tiers encode rule precedence, so the greedy order refines — never
+// contradicts — the fixed rule order). This is what makes AddQuery
+// flat-latency out to 10^5..10^6 standing queries.
 //
 // PruneUnreachable implements the removal half: a backward walk from the
 // removed query's output channels tears down the operators only that query
@@ -61,25 +56,15 @@ struct IncrementalMergeStats {
   std::string ToString() const;
 };
 
-// Merges newly compiled m-ops into the live plan (see file comment). Safe to
-// run on a plan whose m-ops hold runtime state; existing operators keep
-// their state and their output wiring.
-//
-// Scan-based reference implementation: rediscovers share points by scanning
-// all live m-ops (O(plan) per call). Kept as the oracle for the indexed
-// path; production callers use MergeNewQueryIndexed.
-IncrementalMergeStats MergeNewQuery(Plan* plan,
-                                    const OptimizerOptions& options);
-
-// Index-driven merge of the fresh m-ops (live ids >= first_fresh, i.e. the
-// plan's num_mops() recorded before the new query compiled) into the live
-// plan. Per round: syncs the index, probes every fresh m-op (O(1) each),
+// Merges the fresh m-ops (live ids >= first_fresh, i.e. the plan's
+// num_mops() recorded before the new query compiled) into the live plan
+// (see file comment). Safe to run on a plan whose m-ops hold runtime state;
+// existing operators keep their state and their output wiring. Per round: syncs the index, probes every fresh m-op (O(1) each),
 // sorts the candidates by descending benefit (ties: lowest fresh id first)
 // and applies them greedily, re-probing each at apply time so earlier
 // merges in the batch invalidate or improve later ones. Rounds repeat while
 // merges cascade (a merged σ exposes the α above it), up to
-// options.max_rounds. Produces the same plans as MergeNewQuery (fuzz-
-// verified) at O(fresh) cost per add instead of O(plan).
+// options.max_rounds. Costs O(fresh) per add, not O(plan).
 IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
                                            MopId first_fresh,
                                            const OptimizerOptions& options);

@@ -60,7 +60,7 @@ OptimizeStats Optimize(Plan* plan, const OptimizerOptions& options,
                        ShareIndex* index) {
   RUMOR_TRACE_SPAN("Optimize");
   OptimizeStats stats;
-  if (index != nullptr && options.use_share_index) {
+  if (index != nullptr) {
     // Seeded pass: resolve CSE and sσ through the index up front. sα/s⋈
     // and the c-family stay with their scan rules (their batch plan shapes
     // depend on whole-group decisions the per-m-op probe does not make).

@@ -51,8 +51,7 @@ uint64_t MemberKey(MopType shared_type, uint64_t signature,
   return key;
 }
 
-// Bit-identical to AttachAggregates' target key (the scan path) so target
-// selection matches it exactly.
+// sα attach key: targets must agree on input channel, fn, attr and slot.
 uint64_t AggKey(const Plan& plan, MopId id, const AggregateMop& agg) {
   uint64_t key = Mix64(static_cast<uint64_t>(plan.input_channel(id, 0)));
   key = HashCombine(key, static_cast<uint64_t>(agg.member(0).spec.fn));
@@ -373,9 +372,8 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
     }
   }
 
-  // 2. Member-level CSE onto a warm merged target (same conditions as the
-  // scan-based MemberCse, resolved to the lowest (target, member) pair —
-  // the first match a LiveMops-ascending scan would find).
+  // 2. Member-level CSE onto a warm merged target, resolved to the lowest
+  // (target, member) pair.
   MopType shared_type;
   if ((kind_mask & MaskOf(Candidate::kCseMember)) &&
       SharedTypeFor(m.type(), &shared_type)) {
@@ -478,10 +476,9 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
   }
 
   // 4. sα: attach to the oldest shared-aggregation target with the same
-  // (channel, fn, attr, slot) key. Only older targets qualify (the scan
-  // path's oldest-target map resolves fresh-vs-fresh pairs the same way),
-  // and — exactly like the scan path — if the chosen target cannot absorb
-  // the member, no other target is tried.
+  // (channel, fn, attr, slot) key. Only older targets qualify (so of two
+  // fresh aggregates the younger joins the older), and if the chosen target
+  // cannot absorb the member, no other target is tried.
   if ((kind_mask & MaskOf(Candidate::kAttachAggregate)) &&
       m.type() == MopType::kAggregate) {
     const auto& agg = static_cast<const AggregateMop&>(m);

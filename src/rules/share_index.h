@@ -25,11 +25,11 @@
 // before probing. Sync consumes the plan's event log from the index's
 // cursor (O(delta)); if the log was compacted past the cursor or recorded a
 // bulk change (rollback), it falls back to one full rebuild (O(plan) — the
-// cost a single scan-based merge used to pay on *every* add).
+// cost a whole-plan scan would pay on *every* add).
 //
 // Probe() returns at most one candidate per fresh m-op, the best merge by
 // rule precedence (CSE > member CSE > attach > formation — the same
-// precedence the scan-based MergeNewQuery encodes by phase order), with an
+// precedence MergeNewQueryIndexed's phase order encodes), with an
 // estimated benefit for the greedy cost-ordered driver (rules/incremental).
 #ifndef RUMOR_RULES_SHARE_INDEX_H_
 #define RUMOR_RULES_SHARE_INDEX_H_
@@ -79,11 +79,10 @@ class ShareIndex {
   // Best merge for `fresh` under the current index state, or kind == kNone.
   // `fresh` must be live. O(1) expected (hash probes over small buckets).
   // `kind_mask` (bits of MaskOf) restricts which merge kinds are considered:
-  // the driver replicates the scan path's phase order by probing one kind
-  // group at a time, so e.g. an aggregate that became an exact duplicate
+  // MergeNewQueryIndexed runs the rule phases in priority order, probing
+  // one kind group at a time, so e.g. an aggregate that became an exact duplicate
   // only after its σ was rewired mid-round attaches to the shared engine
-  // (what the scan's same-round AttachAggregates phase does) instead of
-  // being exact-CSE'd a round later.
+  // in that round's sα phase instead of being exact-CSE'd a round later.
   static constexpr uint32_t MaskOf(Candidate::Kind kind) {
     return 1u << kind;
   }

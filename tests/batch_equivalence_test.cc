@@ -2,16 +2,16 @@
 // execution: for every workload, pushing the feed through PushSourceBatch
 // (grouped into maximal same-stream runs) must produce byte-identical
 // per-query sink output and the same number of m-op deliveries as pushing
-// tuple by tuple. Also cross-checks the two MIN/MAX aggregation
-// implementations (two-stacks vs legacy ordered multiset) against each
-// other under both dispatch modes.
+// tuple by tuple. Also checks the two-stacks MIN/MAX window aggregation
+// against a brute-force recompute of every window under both dispatch
+// modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "mop/window.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "query/builder.h"
@@ -159,10 +159,32 @@ TEST(BatchEquivalenceTest, HybridPerfmonQueries) {
   ExpectBatchEquivalence(queries, events, {"CPU"});
 }
 
+// Brute-force oracle for a windowed per-pid MIN/MAX query over the perfmon
+// feed: for every event, the extremum of `load` over the earlier-or-same
+// events of its pid inside the window (ts in (now - window, now]), rendered
+// like the engine's (pid, aggregate) output rows.
+std::vector<std::string> BruteForceMinMax(const std::vector<Event>& events,
+                                          bool is_min, int64_t window) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Tuple& now = events[i].tuple;
+    const int64_t pid = now.at(0).AsInt();
+    int64_t best = now.at(1).AsInt();
+    for (size_t j = 0; j < i; ++j) {
+      const Tuple& t = events[j].tuple;
+      if (t.at(0).AsInt() != pid || t.ts() <= now.ts() - window) continue;
+      const int64_t load = t.at(1).AsInt();
+      best = is_min ? std::min(best, load) : std::max(best, load);
+    }
+    out.push_back(Tuple::MakeInts({pid, best}, now.ts()).ToString());
+  }
+  return out;
+}
+
 TEST(BatchEquivalenceTest, SharedMinMaxAggregationAcrossImplementations) {
   // N MIN + N MAX queries with distinct windows over one source; rule sα
-  // merges each function group into one shared engine. Compares every
-  // (dispatch mode, MIN/MAX implementation) combination.
+  // merges each function group into one shared two-stacks engine. Both
+  // dispatch modes must reproduce a brute-force recompute of every window.
   PerfmonParams params;
   params.num_processes = 6;
   params.duration_seconds = 200;
@@ -171,23 +193,27 @@ TEST(BatchEquivalenceTest, SharedMinMaxAggregationAcrossImplementations) {
   for (const Tuple& t : trace) events.push_back(Event{0, t});
 
   std::vector<Query> queries;
+  std::map<std::string, std::vector<std::string>> oracle;
   Schema schema = PerfmonSchema();
   for (int i = 0; i < 4; ++i) {
+    const int64_t min_window = 10 + 13 * i;
+    const int64_t max_window = 7 + 11 * i;
     queries.push_back(QueryBuilder::FromSource("CPU", schema)
-                          .Aggregate(AggFn::kMin, "load", {"pid"}, 10 + 13 * i)
+                          .Aggregate(AggFn::kMin, "load", {"pid"}, min_window)
                           .Build("MIN" + std::to_string(i)));
     queries.push_back(QueryBuilder::FromSource("CPU", schema)
-                          .Aggregate(AggFn::kMax, "load", {"pid"}, 7 + 11 * i)
+                          .Aggregate(AggFn::kMax, "load", {"pid"}, max_window)
                           .Build("MAX" + std::to_string(i)));
+    oracle["MIN" + std::to_string(i)] =
+        BruteForceMinMax(events, /*is_min=*/true, min_window);
+    oracle["MAX" + std::to_string(i)] =
+        BruteForceMinMax(events, /*is_min=*/false, max_window);
   }
 
-  SharedAggEngine::SetDefaultMinMaxImpl(MinMaxImpl::kOrderedSet);
-  RunResult ordered_reference = RunWorkload(queries, events, {"CPU"}, 0);
-  SharedAggEngine::SetDefaultMinMaxImpl(MinMaxImpl::kTwoStacks);
   ExpectBatchEquivalence(queries, events, {"CPU"});
   RunResult two_stacks = RunWorkload(queries, events, {"CPU"}, 0);
-  EXPECT_EQ(two_stacks.outputs, ordered_reference.outputs)
-      << "two-stacks vs ordered-set MIN/MAX maintenance diverged";
+  EXPECT_EQ(two_stacks.outputs, oracle)
+      << "two-stacks MIN/MAX diverged from the brute-force recompute";
 }
 
 // A sink handler may push back into the executor from inside a batch; the

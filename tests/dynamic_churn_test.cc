@@ -7,12 +7,14 @@
 // output sequences over a shared evaluation stream must match byte for byte.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "api/stream_engine.h"
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace rumor {
@@ -162,44 +164,44 @@ TEST(DynamicChurnTest, ChurnWhileShardedMatchesFreshEngine) {
   RunRandomChurn(3);
 }
 
-// The indexed merge path (ShareIndex-driven, the production default) against
-// the scan-based oracle (use_share_index = false): same random add/remove/
-// push interleaving into both engines, every output recorded from the first
-// tuple — merging through the index must be invisible, down to byte-equal
-// result sequences and byte-equal final plans.
+// Chained hash, per seed, of Explain() after every step of the seeded
+// add/remove/push interleaving below, followed by every query's output rows
+// (queries in name order, rows in delivery order). Recorded with the
+// scan-based merge (MergeNewQuery, which rediscovered share points by
+// scanning every live m-op on each add) the index-driven merge replaced;
+// the two engines agreed on every step's plan and on every output row.
+// Regenerate only for a deliberate change of the merge's target choices or
+// of the Explain/row formats.
+constexpr uint64_t kScanOracleDigests[] = {
+    0x7b24bbd1627becd4ull, 0x7df9d553eb559098ull, 0xefb2b6f233f4c7b3ull,
+    0x2e8faeb8ab7667b8ull, 0xa11e1a403c1eac38ull, 0x6e8f6bac2d0a8420ull,
+};
+
+// The indexed merge path against the pinned scan-merge verdict: merging
+// through the index must be invisible, down to byte-equal plans after every
+// step and byte-equal result sequences from the first tuple on.
 TEST(DynamicChurnTest, IndexedMergingMatchesScanOracle) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 0x9e3779b97f4a7c15ull + 2);
-    OptimizerOptions scan_options;
-    scan_options.use_share_index = false;
-    StreamEngine indexed;
-    StreamEngine scan(scan_options);
-    Outputs indexed_rows, scan_rows;
-    for (StreamEngine* e : {&indexed, &scan}) {
-      ASSERT_TRUE(e->RegisterSource("CPU", CpuSchema()).ok());
-    }
-    indexed.SetOutputHandler([&](const std::string& q, const Tuple& t) {
-      indexed_rows[q].push_back(t.ToString() + "@" + std::to_string(t.ts()));
-    });
-    scan.SetOutputHandler([&](const std::string& q, const Tuple& t) {
-      scan_rows[q].push_back(t.ToString() + "@" + std::to_string(t.ts()));
+    StreamEngine engine;
+    Outputs rows;
+    ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+    engine.SetOutputHandler([&](const std::string& q, const Tuple& t) {
+      rows[q].push_back(t.ToString() + "@" + std::to_string(t.ts()));
     });
 
     int name_counter = 0;
     std::vector<std::string> active;
     for (int i = 0; i < 2; ++i) {
       std::string name = "q" + std::to_string(name_counter++);
-      std::string rql = MakeRql(rng);
       active.push_back(name);
-      ASSERT_TRUE(indexed.AddQueryText(rql, name).ok());
-      ASSERT_TRUE(scan.AddQueryText(rql, name).ok());
+      ASSERT_TRUE(engine.AddQueryText(MakeRql(rng), name).ok());
     }
-    ASSERT_TRUE(indexed.Start().ok());
-    ASSERT_TRUE(scan.Start().ok());
-    ASSERT_NE(indexed.share_index_for_testing(), nullptr);
-    ASSERT_EQ(scan.share_index_for_testing(), nullptr);
+    ASSERT_TRUE(engine.Start().ok());
+    ASSERT_NE(engine.share_index_for_testing(), nullptr);
 
     int64_t ts = 0;
+    uint64_t digest = 0;
     for (int step = 0; step < 80; ++step) {
       int64_t r = rng.UniformInt(0, 9);
       if (r < 6) {
@@ -207,28 +209,28 @@ TEST(DynamicChurnTest, IndexedMergingMatchesScanOracle) {
         for (int i = 0; i < n; ++i) {
           Tuple t = Tuple::MakeInts(
               {rng.UniformInt(0, 3), rng.UniformInt(0, 100)}, ++ts);
-          ASSERT_TRUE(indexed.Push("CPU", t).ok());
-          ASSERT_TRUE(scan.Push("CPU", t).ok());
+          ASSERT_TRUE(engine.Push("CPU", t).ok());
         }
       } else if (r < 8 || active.size() <= 1) {
         std::string name = "q" + std::to_string(name_counter++);
         std::string rql = MakeRql(rng);
         active.push_back(name);
-        ASSERT_TRUE(indexed.AddQueryText(rql, name).ok()) << rql;
-        ASSERT_TRUE(scan.AddQueryText(rql, name).ok()) << rql;
+        ASSERT_TRUE(engine.AddQueryText(rql, name).ok()) << rql;
       } else {
         size_t victim = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(active.size()) - 1));
-        ASSERT_TRUE(indexed.RemoveQuery(active[victim]).ok());
-        ASSERT_TRUE(scan.RemoveQuery(active[victim]).ok());
+        ASSERT_TRUE(engine.RemoveQuery(active[victim]).ok());
         active.erase(active.begin() + victim);
       }
+      digest = HashCombine(digest, HashBytes(engine.Explain()));
     }
-
-    EXPECT_EQ(indexed_rows, scan_rows) << "seed " << seed;
-    // Plan identity, not just output equality: the index resolved every
-    // merge to the exact target the scan would have chosen.
-    EXPECT_EQ(indexed.Explain(), scan.Explain()) << "seed " << seed;
+    for (const auto& [q, q_rows] : rows) {
+      digest = HashCombine(digest, HashBytes(q));
+      for (const std::string& row : q_rows) {
+        digest = HashCombine(digest, HashBytes(row));
+      }
+    }
+    EXPECT_EQ(digest, kScanOracleDigests[seed - 1]) << "seed " << seed;
   }
 }
 

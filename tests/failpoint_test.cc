@@ -6,13 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/stream_engine.h"
 #include "common/snapshot_io.h"
 #include "common/tuple.h"
+#include "plan/compile.h"
+#include "plan/sharded_executor.h"
+#include "query/builder.h"
+#include "rules/rule_engine.h"
 
 namespace rumor {
 namespace {
@@ -192,6 +201,80 @@ TEST_F(FailpointTest, SpscAcquireStallPreservesShardedOutputs) {
   EXPECT_GT(failpoint::HitCount("spsc/acquire-stall"), 0);
 #if RUMOR_METRICS_ENABLED
   EXPECT_GT(stall_ns, 0) << "forced stalls must reach the stall gauge";
+#endif
+}
+
+// The stall path must drain the ordered merge while it waits for a shell:
+// with tiny rings and every input tuple emitting dozens of outputs, a worker
+// fills its two out-shells mid-epoch and parks until the merge recycles
+// them, still holding its in-shell. The pusher, forced onto the stall path
+// on every free-ring acquisition, then waits for that in-shell — and only
+// its own draining lets the worker finish. A stall path that merely
+// retried would deadlock, so a watchdog bounds the run and fails the test
+// instead of hanging.
+TEST_F(FailpointTest, SpscAcquireStallDrainsTheMerge) {
+  constexpr int kQueries = 40;
+  constexpr int kBatches = 16;
+  constexpr int kPerBatch = 64;
+  std::vector<Query> queries;
+  const Schema schema = Schema::MakeInts(2);
+  for (int q = 0; q < kQueries; ++q) {
+    // Distinct predicates (no CSE), all true on the feed below.
+    queries.push_back(QueryBuilder::FromSource("S", schema)
+                          .Select("a1 >= " + std::to_string(q))
+                          .Build("Q" + std::to_string(q)));
+  }
+  CountingSink sink;
+  ShardedExecutor::Options options;
+  options.num_shards = 2;
+  options.in_ring = 2;
+  options.out_ring = 2;
+  ShardedExecutor exec(
+      options,
+      [&queries](int, Plan* plan, OptimizeStats* stats) {
+        auto compiled = CompileQueries(queries, plan);
+        if (!compiled.ok()) return compiled.status();
+        *stats = Optimize(plan);
+        return Status::OK();
+      },
+      &sink);
+  ASSERT_TRUE(exec.Prepare().ok());
+  const StreamId source = *exec.plan(0).streams().FindSource("S");
+  ASSERT_TRUE(failpoint::Set("spsc/acquire-stall", "always"));
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(60), [&] { return done; })) {
+      std::fprintf(stderr,
+                   "SpscAcquireStallDrainsTheMerge: pushes did not finish "
+                   "within 60 s; the acquire-stall path does not drain the "
+                   "merge\n");
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+  });
+  std::vector<Tuple> batch;
+  for (int b = 0; b < kBatches; ++b) {
+    batch.clear();
+    for (int i = 0; i < kPerBatch; ++i) {
+      batch.push_back(Tuple::MakeInts({i, kQueries}, b * kPerBatch + i));
+    }
+    exec.PushSourceBatch(source, batch);
+  }
+  exec.Flush();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+
+  EXPECT_EQ(sink.total(), int64_t{kQueries} * kBatches * kPerBatch);
+#if RUMOR_FAILPOINTS_ENABLED
+  EXPECT_GT(failpoint::HitCount("spsc/acquire-stall"), 0);
 #endif
 }
 

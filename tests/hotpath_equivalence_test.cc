@@ -1,11 +1,12 @@
-// Hot-path equivalence fuzz: the three data-plane execution paths — scalar
-// Process, generic ProcessBatch (vectorization and the flat int probe
-// disabled), and the vectorized batch path (typed/fused predicate
-// evaluation + flat int-key index probes) — must produce byte-identical
-// per-query output sequences and delivery counts on randomized σ /
-// predicate-index / join / aggregate plans, including string-attribute
-// schemas (exercising the interned string handle and the non-int probe
-// fallback).
+// Hot-path equivalence fuzz: the shared plan (rule-merged predicate indexes
+// with flat int-key probes, shared joins and aggregates), run event at a
+// time and through the batch path at several batch sizes, must produce the
+// per-query output sequences of the unshared reference plan — every m-rule
+// off, so each query runs its own SelectionMop/JoinMop/AggregateMop with no
+// predicate index — on randomized σ / join / aggregate / sequence plans,
+// including string-attribute schemas (exercising the interned string handle
+// and the non-int probe fallback). Predicate evaluation itself (typed and
+// fused fast paths vs the expression tree) is checked by program_test.
 //
 // Also covers the supporting structures: TupleArena block recycling and the
 // FlatInt64Map used by the predicate index.
@@ -18,7 +19,6 @@
 
 #include "common/flat_map.h"
 #include "common/rng.h"
-#include "mop/predicate_index_mop.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "plan/sharded_executor.h"
@@ -42,15 +42,16 @@ struct RunResult {
   }
 };
 
-// Compiles + optimizes fresh under the current fast-path toggles and runs
-// the feed; batch_size 0 = event-at-a-time.
+// Compiles + optimizes fresh under `options` and runs the feed; batch_size
+// 0 = event-at-a-time.
 RunResult RunOnce(const std::vector<Query>& queries, const Feed& feed,
                   const std::vector<std::string>& stream_names,
-                  int64_t batch_size) {
+                  int64_t batch_size,
+                  const OptimizerOptions& options = OptimizerOptions{}) {
   Plan plan;
   auto compiled = CompileQueries(queries, &plan);
   RUMOR_CHECK(compiled.ok()) << compiled.status().ToString();
-  Optimize(&plan);
+  Optimize(&plan, options);
   CollectingSink sink;
   Executor exec(&plan, &sink);
   exec.Prepare();
@@ -92,32 +93,39 @@ RunResult RunOnce(const std::vector<Query>& queries, const Feed& feed,
   return result;
 }
 
-void SetFastPaths(bool enabled) {
-  Program::SetVectorizationEnabled(enabled);
-  PredicateIndexMop::SetFlatProbeEnabled(enabled);
+// The unshared reference plan: every m-rule off.
+OptimizerOptions Unshared() {
+  OptimizerOptions o;
+  o.enable_cse = false;
+  o.enable_predicate_index = false;
+  o.enable_shared_aggregate = false;
+  o.enable_shared_join = false;
+  o.enable_channels = false;
+  return o;
 }
 
-// Runs scalar / generic-batch / vectorized-batch (each at several batch
-// sizes) and asserts byte-identical results.
+// Runs the unshared reference event-at-a-time and the shared plan scalar and
+// batched (at several batch sizes), and asserts identical per-query
+// outputs. Delivery counts differ between the two plans (merged m-ops
+// schedule fewer deliveries); they must agree across the shared runs.
 void ExpectHotpathEquivalence(const std::vector<Query>& queries,
                               const Feed& feed,
                               const std::vector<std::string>& stream_names) {
-  SetFastPaths(false);
-  RunResult reference = RunOnce(queries, feed, stream_names, 0);
+  RunResult reference = RunOnce(queries, feed, stream_names, 0, Unshared());
   int64_t total = 0;
   for (const auto& [name, tuples] : reference.outputs) total += tuples.size();
   EXPECT_GT(total, 0) << "workload produced no output; vacuous comparison";
 
   for (int64_t batch_size : {1, 7, 64, 100000}) {
-    RunResult generic = RunOnce(queries, feed, stream_names, batch_size);
-    EXPECT_TRUE(generic == reference) << "generic batch=" << batch_size;
+    RunResult unshared =
+        RunOnce(queries, feed, stream_names, batch_size, Unshared());
+    EXPECT_TRUE(unshared == reference) << "unshared batch=" << batch_size;
   }
-  SetFastPaths(true);
   RunResult scalar = RunOnce(queries, feed, stream_names, 0);
-  EXPECT_TRUE(scalar == reference) << "vectorized scalar";
+  EXPECT_TRUE(scalar.outputs == reference.outputs) << "shared scalar";
   for (int64_t batch_size : {1, 7, 64, 100000}) {
-    RunResult vectorized = RunOnce(queries, feed, stream_names, batch_size);
-    EXPECT_TRUE(vectorized == reference) << "vectorized batch=" << batch_size;
+    RunResult batched = RunOnce(queries, feed, stream_names, batch_size);
+    EXPECT_TRUE(batched == scalar) << "shared batch=" << batch_size;
   }
 }
 
@@ -356,7 +364,6 @@ RunResult RunSharded(const std::vector<Query>& queries, const Feed& feed,
 void ExpectShardedEquivalence(const std::vector<Query>& queries,
                               const Feed& feed,
                               const std::vector<std::string>& stream_names) {
-  SetFastPaths(true);
   RunResult reference = RunOnce(queries, feed, stream_names, 64);
   int64_t total = 0;
   for (const auto& [name, tuples] : reference.outputs) total += tuples.size();

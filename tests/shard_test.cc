@@ -487,6 +487,26 @@ TEST(ShardedEngineTest, CollectMetricsAggregatesAcrossWorkers) {
             std::string::npos);
 }
 
+// Read-only replica commands (metrics reads, checkpoints) must not reset
+// the round-robin cursors: a stateless query's tuples keep alternating
+// between the shards even when every push is followed by CollectMetrics().
+TEST(ShardedEngineTest, ReadOnlyCommandsKeepRoundRobinRouting) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine.SetShardCount(2).ok());
+  ASSERT_TRUE(engine.RegisterSource("S", IntSchema(2)).ok());
+  ASSERT_TRUE(engine.AddQueryText("SELECT * FROM S WHERE a0 >= 0", "Q").ok());
+  ASSERT_TRUE(engine.Start().ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({i, i}, i)).ok());
+    engine.CollectMetrics();
+  }
+  const EngineMetrics em = engine.CollectMetrics();
+  ASSERT_EQ(em.shard_rows.size(), 2u);
+  EXPECT_EQ(em.shard_rows[0].deliveries, em.shard_rows[1].deliveries);
+  EXPECT_GT(em.shard_rows[1].deliveries, 0);
+  EXPECT_EQ(engine.OutputCount("Q"), 6);
+}
+
 TEST(ShardedEngineTest, ShardCountOneKeepsSingleThreadedExecutor) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterSource("S", IntSchema(2)).ok());

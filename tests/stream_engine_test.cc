@@ -142,5 +142,31 @@ TEST(StreamEngineTest, HybridScriptEndToEnd) {
   EXPECT_GT(engine.OutputCount("RAMPS"), 0);
 }
 
+// A failed Start() must leave nothing behind: here the second query
+// declares source S with a different arity, so compiling the query set
+// fails after the first query was already lowered into the plan. Once the
+// bad query is removed, a retried Start() builds the good query alone.
+TEST(StreamEngineTest, FailedStartCanBeRetried) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine
+                  .AddQuery(QueryBuilder::FromSource("S", Schema::MakeInts(2))
+                                .Select("a0 > 0")
+                                .Build("good"))
+                  .ok());
+  ASSERT_TRUE(engine
+                  .AddQuery(QueryBuilder::FromSource("S", Schema::MakeInts(3))
+                                .Select("a0 > 0")
+                                .Build("bad"))
+                  .ok());
+  EXPECT_EQ(engine.Start().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(engine.RemoveQuery("bad").ok());
+  ASSERT_TRUE(engine.Start().ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({i, i}, i)).ok());
+  }
+  EXPECT_EQ(engine.OutputCount("good"), 3);
+  EXPECT_EQ(engine.plan_for_testing().outputs().size(), 1u);
+}
+
 }  // namespace
 }  // namespace rumor
