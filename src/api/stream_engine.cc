@@ -134,6 +134,7 @@ Status StreamEngine::AddQueryWithText(Query query, std::string text) {
   if (query.root == nullptr) {
     return Status::InvalidArgument("query has no body");
   }
+  RUMOR_RETURN_IF_ERROR(CheckPredicates(*query.root));
   if (FindQuery(query.name) >= 0) {
     return Status::AlreadyExists(
         StrCat("query '", query.name, "' already exists"));
@@ -287,7 +288,7 @@ Status StreamEngine::Start() {
   sink_->SetHandler(&handler_);
   sink_->SetTotalCounter(&outputs_total_);
   // Every replica, 1 or N, is built the same way: compile, index the plan's
-  // share points, then run the optimizer seeded with that index. Sharded,
+  // share points, then run the optimizer over that index. Sharded,
   // each worker builds its own replica and index from the shared (read-only
   // here) query list; the build is deterministic, so replica ids line up
   // across shards. A failed compile rolls the replica back to empty: plan_

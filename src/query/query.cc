@@ -233,6 +233,73 @@ QueryNodePtr QueryNode::Zip(QueryNodePtr left, QueryNodePtr right) {
 
 namespace {
 
+// InvalidArgument unless `e` is bool-typed.
+Status RequireBool(const Expr& e, const Schema& left, const Schema* right,
+                   const char* what) {
+  const ValueType type = e.InferType(left, right);
+  if (type == ValueType::kBool) return Status::OK();
+  return Status::InvalidArgument(StrCat(what, " ", e.ToString(), " is ",
+                                        ValueTypeName(type), ", not bool"));
+}
+
+// Checks the attribute references of `e` and the operands of its logical
+// connectives; InferType is safe on `e` once this passed.
+Status CheckExpr(const Expr& e, const Schema& left, const Schema* right) {
+  if (e.kind() == ExprKind::kAttr) {
+    const Schema* schema = e.side() == Side::kLeft ? &left : right;
+    if (schema == nullptr || e.attr_index() < 0 ||
+        e.attr_index() >= schema->size()) {
+      return Status::InvalidArgument(
+          StrCat("attribute ", e.ToString(), " is not in its input schema"));
+    }
+  }
+  for (int i = 0; i < e.num_children(); ++i) {
+    RUMOR_RETURN_IF_ERROR(CheckExpr(*e.child(i), left, right));
+  }
+  if (e.kind() == ExprKind::kAnd || e.kind() == ExprKind::kOr ||
+      e.kind() == ExprKind::kNot) {
+    for (int i = 0; i < e.num_children(); ++i) {
+      RUMOR_RETURN_IF_ERROR(RequireBool(*e.child(i), left, right, "operand"));
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckPredicate(const ExprPtr& predicate, const Schema& left,
+                      const Schema* right) {
+  if (predicate == nullptr) return Status::OK();
+  RUMOR_RETURN_IF_ERROR(CheckExpr(*predicate, left, right));
+  return RequireBool(*predicate, left, right, "predicate");
+}
+
+}  // namespace
+
+Status CheckPredicates(const QueryNode& root) {
+  for (int i = 0; i < root.num_children(); ++i) {
+    RUMOR_RETURN_IF_ERROR(CheckPredicates(*root.child(i)));
+  }
+  switch (root.op()) {
+    case QueryOp::kSelect:
+      return CheckPredicate(root.predicate(), root.child(0)->output_schema(),
+                            nullptr);
+    case QueryOp::kJoin:
+    case QueryOp::kSequence:
+      return CheckPredicate(root.predicate(), root.child(0)->output_schema(),
+                            &root.child(1)->output_schema());
+    case QueryOp::kIterate:
+      // Both parts read (left = start ⊕ last instance, right = event).
+      RUMOR_RETURN_IF_ERROR(CheckPredicate(root.match_predicate(),
+                                           root.output_schema(),
+                                           &root.child(1)->output_schema()));
+      return CheckPredicate(root.rebind_predicate(), root.output_schema(),
+                            &root.child(1)->output_schema());
+    default:
+      return Status::OK();
+  }
+}
+
+namespace {
+
 void Render(const QueryNode& n, int indent, std::ostringstream& os) {
   os << std::string(indent * 2, ' ') << QueryOpName(n.op());
   switch (n.op()) {

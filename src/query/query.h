@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "common/status.h"
 #include "expr/expr.h"
 #include "expr/schema_map.h"
 
@@ -142,6 +143,14 @@ struct Query {
   std::string name;
   QueryNodePtr root;
 };
+
+// Type-checks every predicate of the tree rooted at `root` against its
+// input schemas: Select, Join, Sequence and Iterate (match and rebind)
+// predicates must be bool, so must the operands of every AND, OR and NOT
+// inside them, and every attribute reference must lie in its side's schema.
+// InvalidArgument names the first offending expression. A predicate that
+// fails here would abort evaluation at the first tuple.
+Status CheckPredicates(const QueryNode& root);
 
 // Splits an Iterate predicate into (match, rebind) conjunct groups: a
 // conjunct referencing a left attribute with index >= start_size touches the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "common/trace.h"
@@ -11,22 +10,6 @@
 #include "mop/selection_mop.h"
 
 namespace rumor {
-
-std::string IncrementalMergeStats::ToString() const {
-  std::ostringstream os;
-  os << "IncrementalMergeStats{cse=" << cse_merges
-     << " attach=" << attach_merges << " rules=" << rule_merges << "}";
-  return os.str();
-}
-
-std::string PruneStats::ToString() const {
-  std::ostringstream os;
-  os << "PruneStats{visited=" << visited_mops << " mops=" << removed_mops
-     << " index_members=" << pruned_index_members
-     << " deactivated=" << deactivated_members
-     << " channels=" << collected_channels << "}";
-  return os.str();
-}
 
 namespace {
 
@@ -51,8 +34,9 @@ void WireAttachedMember(Plan* plan, MopId target, ChannelId fresh_out,
 
 // Applies one freshly probed candidate: CSE moves the fresh m-op's readers
 // onto the kept (whole or member) port, an attach grows the warm target,
-// and index formation performs PredicateIndexRule's rewrite on the probed
-// channel. Returns false if the candidate no longer applies.
+// and index formation performs sσ's rewrite on the probed channel: its
+// single selections become one predicate index whose members keep their
+// output channels. Returns false if the candidate no longer applies.
 bool ApplyCandidate(Plan* plan, ShareIndex* index,
                     const ShareIndex::Candidate& c,
                     IncrementalMergeStats* stats) {
@@ -163,7 +147,7 @@ IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
   // e.g. an aggregate whose σ was member-merged onto a warm channel is
   // claimed by the member-CSE cascade or this round's sα phase, never by
   // the next round's exact-CSE phase.
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxOptimizeRounds; ++round) {
     int applied = 0;
     if (options.enable_cse) {
       // Exact CSE cascades to fixpoint within the phase: merging two

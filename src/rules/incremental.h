@@ -39,8 +39,6 @@
 #ifndef RUMOR_RULES_INCREMENTAL_H_
 #define RUMOR_RULES_INCREMENTAL_H_
 
-#include <string>
-
 #include "plan/plan.h"
 #include "rules/rule_engine.h"
 #include "rules/share_index.h"
@@ -53,18 +51,19 @@ struct IncrementalMergeStats {
   int rule_merges = 0;    // stateless rule merges among leftover m-ops
 
   int total() const { return cse_merges + attach_merges + rule_merges; }
-  std::string ToString() const;
 };
 
 // Merges the fresh m-ops (live ids >= first_fresh, i.e. the plan's
 // num_mops() recorded before the new query compiled) into the live plan
 // (see file comment). Safe to run on a plan whose m-ops hold runtime state;
-// existing operators keep their state and their output wiring. Per round: syncs the index, probes every fresh m-op (O(1) each),
-// sorts the candidates by descending benefit (ties: lowest fresh id first)
-// and applies them greedily, re-probing each at apply time so earlier
-// merges in the batch invalidate or improve later ones. Rounds repeat while
-// merges cascade (a merged σ exposes the α above it), up to
-// options.max_rounds. Costs O(fresh) per add, not O(plan).
+// existing operators keep their state and their output wiring. Per round:
+// syncs the index, probes every fresh m-op (O(1) each), sorts the
+// candidates by descending benefit (ties: lowest fresh id first) and
+// applies them greedily, re-probing each at apply time so earlier merges in
+// the batch invalidate or improve later ones. Rounds repeat while merges
+// cascade (a merged σ exposes the α above it), up to kMaxOptimizeRounds.
+// Costs O(fresh) per add, not O(plan). With first_fresh 0 every live m-op
+// is fresh: that is how Optimize runs CSE and sσ over a compiled plan.
 IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
                                            MopId first_fresh,
                                            const OptimizerOptions& options);
@@ -75,8 +74,6 @@ struct PruneStats {
   int pruned_index_members = 0;  // members retired from stateless sσ targets
   int deactivated_members = 0;   // shared-aggregate members deactivated
   int collected_channels = 0;    // channels garbage-collected
-
-  std::string ToString() const;
 };
 
 // Tears down everything that only the output stream `removed_output` kept

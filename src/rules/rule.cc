@@ -1,8 +1,5 @@
 #include "rules/rule.h"
 
-#include <unordered_map>
-
-#include "common/hash.h"
 #include "mop/aggregate_mop.h"
 #include "mop/iterate_mop.h"
 #include "mop/join_mop.h"
@@ -85,48 +82,6 @@ std::unique_ptr<Mop> CloneWithOutputMode(const Mop& mop, OutputMode mode) {
   }
   RUMOR_CHECK(false) << "unsupported mop type for clone";
   return nullptr;
-}
-
-// CSE: merge single-member m-ops with identical definitions reading the
-// exact same input channels — the plan-level form of Cayuga prefix state
-// merging (rules s; and sµ in Table 1; §4.3 of the paper shows the
-// correspondence). The kept m-op's output channel absorbs the duplicates'
-// consumers; duplicate output streams are remapped for query-output marks.
-int CseRule::ApplyAll(Plan* plan, const SharableAnalysis*) {
-  int merges = 0;
-  bool progress = true;
-  // Deduping can make parents identical; iterate to the fixpoint (this is
-  // the inductive prefix merge of Fig. 7/8).
-  while (progress) {
-    progress = false;
-    std::unordered_map<uint64_t, std::vector<MopId>> groups;
-    for (MopId id : plan->LiveMops()) {
-      const Mop& m = plan->mop(id);
-      if (m.num_members() != 1 || m.num_outputs() != 1) continue;
-      uint64_t key = Mix64(static_cast<uint64_t>(m.type()));
-      key = HashCombine(key, m.MemberSignature(0));
-      for (ChannelId c : plan->input_channels(id)) {
-        key = HashCombine(key, static_cast<uint64_t>(c));
-      }
-      groups[key].push_back(id);
-    }
-    for (auto& [key, ids] : groups) {
-      if (ids.size() < 2) continue;
-      MopId kept = ids[0];
-      ChannelId kept_out = plan->output_channel(kept, 0);
-      StreamId kept_stream = plan->channel(kept_out).stream_at(0);
-      for (size_t i = 1; i < ids.size(); ++i) {
-        ChannelId dup_out = plan->output_channel(ids[i], 0);
-        StreamId dup_stream = plan->channel(dup_out).stream_at(0);
-        plan->MoveConsumers(dup_out, kept_out);
-        plan->RemapOutput(dup_stream, kept_stream);
-        plan->RemoveMop(ids[i]);
-        ++merges;
-      }
-      progress = true;
-    }
-  }
-  return merges;
 }
 
 }  // namespace rumor

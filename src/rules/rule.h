@@ -3,12 +3,15 @@
 // with a sharing opportunity, the action replaces that set with a single
 // target m-op, rebinding channel edges.
 //
-// The rules implemented here are the Table-1 catalogue:
-//   CseRule             — common subexpression elimination; subsumes s; and
-//                         sµ (≡ Cayuga prefix state merging, §4.3) and exact
-//                         duplicates of every other operator type.
-//   PredicateIndexRule  — sσ: selections on one stream -> predicate index
-//                         (the Cayuga FR/AN index translation).
+// The Table-1 catalogue:
+//   CSE and sσ          — common subexpression elimination (subsumes s; and
+//                         sµ, ≡ Cayuga prefix state merging, §4.3, and exact
+//                         duplicates of every other operator type) and
+//                         selections on one stream -> predicate index (the
+//                         Cayuga FR/AN index translation). Both resolve
+//                         their share points through the ShareIndex
+//                         (rules/incremental.h, MergeNewQueryIndexed);
+//                         Optimize runs them as one rule.
 //   SharedAggregateRule — sα: same-stream aggregates, shared state.
 //   SharedJoinRule      — s⋈: same-stream joins, different windows.
 //   ChannelRule         — the c-family (cσ, cπ, cα, c⋈, c;, cµ): maps
@@ -36,18 +39,6 @@ class MRule {
   // rules that do not consult the ~ relation (they match on exact channel
   // identity); rules that need it must CHECK it is present.
   virtual int ApplyAll(Plan* plan, const SharableAnalysis* sharable) = 0;
-};
-
-class CseRule : public MRule {
- public:
-  std::string name() const override { return "cse(s;/sµ)"; }
-  int ApplyAll(Plan* plan, const SharableAnalysis* sharable) override;
-};
-
-class PredicateIndexRule : public MRule {
- public:
-  std::string name() const override { return "sσ"; }
-  int ApplyAll(Plan* plan, const SharableAnalysis* sharable) override;
 };
 
 class SharedAggregateRule : public MRule {

@@ -1,6 +1,7 @@
 #include "rules/rule_engine.h"
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 
 #include "common/trace.h"
@@ -36,14 +37,16 @@ std::string OptimizeStats::ToString() const {
   return os.str();
 }
 
-std::vector<int> RuleEngine::Run(Plan* plan, const SharableAnalysis& sharable,
-                                 int max_rounds) {
-  std::vector<int> merges(rules_.size(), 0);
-  for (int round = 0; round < max_rounds; ++round) {
+RuleEngine::Result RuleEngine::Run(Plan* plan,
+                                   const SharableAnalysis& sharable) {
+  Result result;
+  result.merges.assign(rules_.size(), 0);
+  while (result.rounds < kMaxOptimizeRounds) {
+    ++result.rounds;
     int round_merges = 0;
     for (size_t i = 0; i < rules_.size(); ++i) {
       int n = rules_[i]->ApplyAll(plan, &sharable);
-      merges[i] += n;
+      result.merges[i] += n;
       round_merges += n;
 #ifndef NDEBUG
       // Every rule application must leave the plan consistent (fully bound
@@ -53,68 +56,80 @@ std::vector<int> RuleEngine::Run(Plan* plan, const SharableAnalysis& sharable,
     }
     if (round_merges == 0) break;
   }
-  return merges;
+  return result;
 }
+
+namespace {
+
+// CSE and sσ as one m-rule: each application is a MergeNewQueryIndexed over
+// the whole plan (every live m-op counts as fresh), its merges counted into
+// `stats`. sα attach stays off: SharedAggregateRule makes sα's whole-group
+// decisions later in the round.
+class IndexedMergeRule : public MRule {
+ public:
+  IndexedMergeRule(ShareIndex* index, const OptimizerOptions& options,
+                   OptimizeStats* stats)
+      : index_(index), options_(options), stats_(stats) {
+    options_.enable_shared_aggregate = false;
+  }
+  std::string name() const override { return "cse+sσ(share index)"; }
+  int ApplyAll(Plan* plan, const SharableAnalysis*) override {
+    IncrementalMergeStats merged =
+        MergeNewQueryIndexed(plan, index_, 0, options_);
+    stats_->cse_merges += merged.cse_merges;
+    stats_->predicate_index_merges +=
+        merged.attach_merges + merged.rule_merges;
+    return merged.total();
+  }
+
+ private:
+  ShareIndex* index_;
+  OptimizerOptions options_;
+  OptimizeStats* stats_;
+};
+
+}  // namespace
 
 OptimizeStats Optimize(Plan* plan, const OptimizerOptions& options,
                        ShareIndex* index) {
   RUMOR_TRACE_SPAN("Optimize");
-  OptimizeStats stats;
-  if (index != nullptr) {
-    // Seeded pass: resolve CSE and sσ through the index up front. sα/s⋈
-    // and the c-family stay with their scan rules (their batch plan shapes
-    // depend on whole-group decisions the per-m-op probe does not make).
-    OptimizerOptions seeded = options;
-    seeded.enable_shared_aggregate = false;
-    IncrementalMergeStats pre = MergeNewQueryIndexed(plan, index, 0, seeded);
-    stats.cse_merges += pre.cse_merges;
-    stats.predicate_index_merges += pre.attach_merges + pre.rule_merges;
+  std::unique_ptr<ShareIndex> transient;
+  if (index == nullptr) {
+    transient = std::make_unique<ShareIndex>(plan);
+    index = transient.get();
   }
   SharableAnalysis sharable(*plan);
+  OptimizeStats stats;
 
+  // Registration order = priority order; `counters` maps each rule to its
+  // stats field (null for the indexed rule, which counts its own merges).
   RuleEngine engine;
-  // Registration order = priority order.
-  std::vector<int> which;  // maps engine slot -> stats slot
-  if (options.enable_cse) {
-    engine.AddRule(std::make_unique<CseRule>());
-    which.push_back(0);
-  }
-  auto add_channels = [&] {
-    if (options.enable_channels) {
-      engine.AddRule(std::make_unique<ChannelRule>());
-      which.push_back(4);
-    }
-  };
-  if (options.channel_rules_first) add_channels();
-  if (options.enable_predicate_index) {
-    engine.AddRule(std::make_unique<PredicateIndexRule>());
-    which.push_back(1);
+  std::vector<int OptimizeStats::*> counters;
+  if (options.enable_cse || options.enable_predicate_index) {
+    engine.AddRule(std::make_unique<IndexedMergeRule>(index, options, &stats));
+    counters.push_back(nullptr);
   }
   if (options.enable_shared_aggregate) {
     engine.AddRule(std::make_unique<SharedAggregateRule>());
-    which.push_back(2);
+    counters.push_back(&OptimizeStats::shared_aggregate_merges);
   }
   if (options.enable_shared_join) {
     engine.AddRule(std::make_unique<SharedJoinRule>());
-    which.push_back(3);
+    counters.push_back(&OptimizeStats::shared_join_merges);
   }
-  if (!options.channel_rules_first) add_channels();
-
-  std::vector<int> merges = engine.Run(plan, sharable, options.max_rounds);
-
-  for (size_t i = 0; i < merges.size(); ++i) {
-    switch (which[i]) {
-      case 0: stats.cse_merges += merges[i]; break;
-      case 1: stats.predicate_index_merges += merges[i]; break;
-      case 2: stats.shared_aggregate_merges += merges[i]; break;
-      case 3: stats.shared_join_merges += merges[i]; break;
-      case 4: stats.channel_merges += merges[i]; break;
-    }
+  if (options.enable_channels) {
+    engine.AddRule(std::make_unique<ChannelRule>());
+    counters.push_back(&OptimizeStats::channel_merges);
   }
-  stats.rounds = options.max_rounds;
+
+  const RuleEngine::Result run = engine.Run(plan, sharable);
+  for (size_t i = 0; i < counters.size(); ++i) {
+    if (counters[i] != nullptr) stats.*counters[i] += run.merges[i];
+  }
+  stats.rounds = run.rounds;
   FillSharingQuality(*plan, &stats);
   plan->Validate();
-  if (index != nullptr) index->Sync();
+  index->Sync();
   return stats;
 }
 

@@ -2,9 +2,10 @@
 // and §7: rule priorities establish the application order; no cost model —
 // the paper defers cost-based MQO to future work).
 //
-// Default priority order (matches the derivation of §4.4):
-//   1. CSE (s;/sµ + exact duplicates of every operator type),
-//   2. same-stream rules (sσ, sα, s⋈),
+// Optimize's priority order (matches the derivation of §4.4):
+//   1. CSE (s;/sµ + exact duplicates of every operator type) and sσ, both
+//      resolved through the ShareIndex (MergeNewQueryIndexed),
+//   2. the remaining same-stream rules (sα, s⋈),
 //   3. channel mapping + channel rules (cσ, cπ, cα, c⋈, c;, cµ).
 #ifndef RUMOR_RULES_RULE_ENGINE_H_
 #define RUMOR_RULES_RULE_ENGINE_H_
@@ -19,22 +20,20 @@ namespace rumor {
 
 class ShareIndex;
 
+// Bound on fixpoint rounds, shared by Optimize's rule loop and the phase
+// rounds of MergeNewQueryIndexed. Real plans settle in two or three.
+inline constexpr int kMaxOptimizeRounds = 8;
+
 struct OptimizerOptions {
   bool enable_cse = true;
   bool enable_predicate_index = true;  // sσ
   bool enable_shared_aggregate = true;  // sα
   bool enable_shared_join = true;       // s⋈
   bool enable_channels = true;          // the c-family
-  // Paper §3.3: several m-rules can be applicable to the same operators
-  // (the shaded region X of Fig. 2/3), and different application orders can
-  // yield different plans. This flag flips the channel rules ahead of the
-  // same-stream rules; plans may differ, query outputs must not (tested).
-  bool channel_rules_first = false;
   // No longer read: every engine resolves CSE and sσ share points through
   // its persistent ShareIndex. Kept only because the benchmark harness
   // still assigns it; delete it with that assignment.
   bool use_share_index = true;
-  int max_rounds = 8;
 };
 
 struct OptimizeStats {
@@ -43,7 +42,7 @@ struct OptimizeStats {
   int shared_aggregate_merges = 0;
   int shared_join_merges = 0;
   int channel_merges = 0;
-  int rounds = 0;
+  int rounds = 0;  // fixpoint rounds run, the final no-merge round included
 
   // --- online query churn (after Start) --------------------------------------
   // Queries added to / removed from the running engine.
@@ -96,29 +95,31 @@ struct OptimizeStats {
 };
 
 // Extensible engine: rules run in registration order each round, until a
-// round performs no merge (or max_rounds).
+// round performs no merge (or kMaxOptimizeRounds).
 class RuleEngine {
  public:
+  struct Result {
+    std::vector<int> merges;  // per rule, in registration order
+    int rounds = 0;           // rounds run, the final no-merge round included
+  };
+
   void AddRule(std::unique_ptr<MRule> rule) {
     rules_.push_back(std::move(rule));
   }
-  int num_rules() const { return static_cast<int>(rules_.size()); }
-  // Returns per-rule merge counts, in registration order.
-  std::vector<int> Run(Plan* plan, const SharableAnalysis& sharable,
-                       int max_rounds);
+  Result Run(Plan* plan, const SharableAnalysis& sharable);
 
  private:
   std::vector<std::unique_ptr<MRule>> rules_;
 };
 
-// Computes SharableAnalysis on `plan`, registers the Table-1 rules enabled
-// in `options`, and runs the engine to a fixpoint. With a non-null `index`,
-// a seeded pass first resolves all CSE and sσ share points through the
-// index — O(live) hash probes instead of repeated whole-plan scans — so
-// startup compilation of very large query populations stops being
-// quadratic; the scan rules then only handle what the index does not cover
-// (sα, s⋈, the c-family) plus any opportunities those rules expose. The
-// index is synced before returning.
+// Computes SharableAnalysis on the compiled `plan`, registers the Table-1
+// rules enabled in `options`, and runs the engine to a fixpoint. CSE and sσ
+// are one rule: a whole-plan MergeNewQueryIndexed (sα attach off), which
+// resolves their share points through `index` with O(live) hash probes
+// instead of repeated whole-plan scans. SharedAggregateRule, SharedJoinRule
+// and ChannelRule follow in each round. A null `index` means Optimize
+// builds a transient one over `plan`; a caller's index is synced before
+// returning.
 OptimizeStats Optimize(Plan* plan, const OptimizerOptions& options = {},
                        ShareIndex* index = nullptr);
 

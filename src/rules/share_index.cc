@@ -28,9 +28,7 @@ double BenefitOf(double base, const Mop* target) {
   return base + 99.0 * traffic / (traffic + 1024.0);
 }
 
-// Bit-identical to CseRule's group key (rules/rule.cc) — probes against this
-// table reproduce the scan-based rule's grouping exactly, hash collisions
-// and all.
+// Exact-CSE key: m-op type, member definition and input channels.
 uint64_t ExactKey(const Plan& plan, MopId id, const Mop& m) {
   uint64_t key = Mix64(static_cast<uint64_t>(m.type()));
   key = HashCombine(key, m.MemberSignature(0));
@@ -350,8 +348,8 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
   }
 
   // 1. Exact CSE. The kept m-op is always the lowest id of the duplicate
-  // group (the warm twin), exactly as CseRule resolves it — so only targets
-  // older than the fresh m-op qualify.
+  // group (the warm twin), so only targets older than the fresh m-op
+  // qualify.
   if (kind_mask & MaskOf(Candidate::kCseExact)) {
     auto bucket = exact_.find(ExactKey(*plan_, fresh, m));
     if (bucket != exact_.end()) {

@@ -8,8 +8,8 @@
 //
 //   exact     (m-op type, input channels, member signature) -> single-member
 //             m-ops — CSE duplicates (rule s;/sµ and exact duplicates of
-//             every type). The key is bit-identical to CseRule's group key,
-//             so probe results match the scan-based rule exactly.
+//             every type). The probe keeps the lowest id of a duplicate
+//             group, so the oldest (warmest) twin always survives.
 //   member    (shared type, input channels, member signature) -> active
 //             members of per-member-port merged targets — member-level CSE
 //             (a new σ/α/⋈ identical to a warm member reuses its output
@@ -90,7 +90,7 @@ class ShareIndex {
   Candidate Probe(MopId fresh, uint32_t kind_mask = kAllKinds) const;
 
   // Live single-member slot-0 selections reading `channel`, sorted by MopId
-  // ascending (formation order — matches PredicateIndexRule's group order).
+  // ascending (formation order: the index's members follow it).
   std::vector<MopId> SinglesOn(ChannelId channel) const;
 
   // Canonical text form of the whole index (sorted, bucket order

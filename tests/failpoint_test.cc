@@ -31,6 +31,40 @@ class FailpointTest : public ::testing::Test {
   void TearDown() override { failpoint::ClearAll(); }
 };
 
+// Bounds a scope that a regression could turn into a hang: if the scope is
+// still running after `limit`, prints `what` and exits the test binary with
+// status 1 rather than waiting for the test runner's timeout.
+class Watchdog {
+ public:
+  Watchdog(std::string what, std::chrono::seconds limit)
+      : thread_([this, what = std::move(what), limit] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "%s (still running after %lld s)\n",
+                         what.c_str(),
+                         static_cast<long long>(limit.count()));
+            std::fflush(stderr);
+            std::_Exit(1);
+          }
+        }) {}
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts once the members above exist
+};
+
 TEST_F(FailpointTest, DisarmedSiteNeverFires) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(RUMOR_FAILPOINT("test/disarmed"));
@@ -164,8 +198,13 @@ TEST_F(FailpointTest, ShortReadAndBitFlipAreCaughtByValidation) {
 // A stalled shell acquisition must only slow the sharded ingress down,
 // never change what comes out: outputs under a 20% spurious free-ring miss
 // rate match the unfaulted run exactly. A miss takes the slow path (drain
-// the merge, then retry), whose time the push-stall gauge accounts.
+// the merge, then retry), whose time the push-stall gauge accounts. A slow
+// path that stopped draining could hang; the watchdog fails the test then.
 TEST_F(FailpointTest, SpscAcquireStallPreservesShardedOutputs) {
+  const Watchdog watchdog(
+      "SpscAcquireStallPreservesShardedOutputs: the acquire-stall path "
+      "does not drain the merge",
+      std::chrono::seconds(60));
   int64_t stall_ns = 0;
   auto run = [&stall_ns] {
     StreamEngine engine;
@@ -242,35 +281,21 @@ TEST_F(FailpointTest, SpscAcquireStallDrainsTheMerge) {
   const StreamId source = *exec.plan(0).streams().FindSource("S");
   ASSERT_TRUE(failpoint::Set("spsc/acquire-stall", "always"));
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::thread watchdog([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    if (!cv.wait_for(lock, std::chrono::seconds(60), [&] { return done; })) {
-      std::fprintf(stderr,
-                   "SpscAcquireStallDrainsTheMerge: pushes did not finish "
-                   "within 60 s; the acquire-stall path does not drain the "
-                   "merge\n");
-      std::fflush(stderr);
-      std::_Exit(1);
-    }
-  });
-  std::vector<Tuple> batch;
-  for (int b = 0; b < kBatches; ++b) {
-    batch.clear();
-    for (int i = 0; i < kPerBatch; ++i) {
-      batch.push_back(Tuple::MakeInts({i, kQueries}, b * kPerBatch + i));
-    }
-    exec.PushSourceBatch(source, batch);
-  }
-  exec.Flush();
   {
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
+    const Watchdog watchdog(
+        "SpscAcquireStallDrainsTheMerge: the acquire-stall path does not "
+        "drain the merge",
+        std::chrono::seconds(60));
+    std::vector<Tuple> batch;
+    for (int b = 0; b < kBatches; ++b) {
+      batch.clear();
+      for (int i = 0; i < kPerBatch; ++i) {
+        batch.push_back(Tuple::MakeInts({i, kQueries}, b * kPerBatch + i));
+      }
+      exec.PushSourceBatch(source, batch);
+    }
+    exec.Flush();
   }
-  cv.notify_all();
-  watchdog.join();
 
   EXPECT_EQ(sink.total(), int64_t{kQueries} * kBatches * kPerBatch);
 #if RUMOR_FAILPOINTS_ENABLED

@@ -5,12 +5,14 @@
 // so any application sequence does).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
+#include "plan/explain.h"
 #include "query/builder.h"
 #include "rules/rule_engine.h"
 
@@ -19,15 +21,22 @@ namespace {
 
 Schema TenInts() { return Schema::MakeInts(10); }
 
-// Runs the given queries under an optimizer configuration; returns
-// per-query sorted outputs.
+// Rewrites a compiled plan.
+using Optimizer = std::function<void(Plan*)>;
+
+Optimizer OptimizeWith(const OptimizerOptions& opts) {
+  return [opts](Plan* plan) { Optimize(plan, opts); };
+}
+
+// Runs the given queries through `optimize`; returns per-query sorted
+// outputs.
 std::map<std::string, std::vector<std::string>> RunWith(
-    const std::vector<Query>& queries, const OptimizerOptions& opts,
+    const std::vector<Query>& queries, const Optimizer& optimize,
     uint64_t feed_seed, int events) {
   Plan plan;
   auto compiled = CompileQueries(queries, &plan);
   RUMOR_CHECK(compiled.ok()) << compiled.status().ToString();
-  Optimize(&plan, opts);
+  optimize(&plan);
   CollectingSink sink;
   Executor exec(&plan, &sink);
   exec.Prepare();
@@ -70,14 +79,47 @@ std::vector<Query> OverlapWorkload(uint64_t seed) {
 
 class RuleOrderTest : public ::testing::TestWithParam<uint64_t> {};
 
+// Merge counts of one ChannelRuleAt run.
+struct OrderMerges {
+  int predicate_index = 0;
+  int channel = 0;
+};
+
+// CSE and sσ through Optimize, then sα, s⋈ and the c-family through a
+// RuleEngine with the channel rule registered ahead of or behind the other
+// two.
+Optimizer ChannelRuleAt(bool first, OrderMerges* merges) {
+  return [first, merges](Plan* plan) {
+    const SharableAnalysis sharable(*plan);  // of the compiled plan
+    OptimizerOptions opts;
+    opts.enable_shared_aggregate = opts.enable_shared_join =
+        opts.enable_channels = false;
+    merges->predicate_index = Optimize(plan, opts).predicate_index_merges;
+    RuleEngine engine;
+    if (first) engine.AddRule(std::make_unique<ChannelRule>());
+    engine.AddRule(std::make_unique<SharedAggregateRule>());
+    engine.AddRule(std::make_unique<SharedJoinRule>());
+    if (!first) engine.AddRule(std::make_unique<ChannelRule>());
+    const RuleEngine::Result run = engine.Run(plan, sharable);
+    merges->channel = run.merges[first ? 0 : 2];
+  };
+}
+
 TEST_P(RuleOrderTest, ChannelFirstAndLastProduceSameOutputs) {
   std::vector<Query> queries = OverlapWorkload(GetParam());
-  OptimizerOptions channel_last;
-  OptimizerOptions channel_first;
-  channel_first.channel_rules_first = true;
-  auto a = RunWith(queries, channel_last, GetParam() ^ 0xabc, 400);
-  auto b = RunWith(queries, channel_first, GetParam() ^ 0xabc, 400);
+  OrderMerges last;
+  OrderMerges first;
+  auto a = RunWith(queries, ChannelRuleAt(false, &last), GetParam() ^ 0xabc,
+                   400);
+  auto b = RunWith(queries, ChannelRuleAt(true, &first), GetParam() ^ 0xabc,
+                   400);
   EXPECT_EQ(a, b);
+  // Where sσ built an index (two or more distinct starting conditions), its
+  // consumers overlap and both orders map channels (cµ, cσ).
+  if (last.predicate_index > 0) {
+    EXPECT_GT(last.channel, 0);
+    EXPECT_GT(first.channel, 0);
+  }
 }
 
 TEST_P(RuleOrderTest, EverySingleRuleAloneIsSound) {
@@ -86,7 +128,7 @@ TEST_P(RuleOrderTest, EverySingleRuleAloneIsSound) {
   none.enable_cse = none.enable_predicate_index =
       none.enable_shared_aggregate = none.enable_shared_join =
           none.enable_channels = false;
-  auto baseline = RunWith(queries, none, GetParam() ^ 0xdef, 400);
+  auto baseline = RunWith(queries, OptimizeWith(none), GetParam() ^ 0xdef, 400);
 
   for (int rule = 0; rule < 5; ++rule) {
     OptimizerOptions opts = none;
@@ -102,7 +144,7 @@ TEST_P(RuleOrderTest, EverySingleRuleAloneIsSound) {
         opts.enable_channels = true;
         break;
     }
-    auto got = RunWith(queries, opts, GetParam() ^ 0xdef, 400);
+    auto got = RunWith(queries, OptimizeWith(opts), GetParam() ^ 0xdef, 400);
     EXPECT_EQ(got, baseline) << "rule config " << rule;
   }
 }
@@ -110,16 +152,19 @@ TEST_P(RuleOrderTest, EverySingleRuleAloneIsSound) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RuleOrderTest,
                          ::testing::Range<uint64_t>(0, 8));
 
-TEST(RuleOrderTest, MaxRoundsZeroLeavesPlanUntouched) {
+TEST(RuleOrderTest, EveryRuleOffLeavesPlanUntouched) {
   std::vector<Query> queries = OverlapWorkload(1);
   Plan plan;
   ASSERT_TRUE(CompileQueries(queries, &plan).ok());
-  size_t before = plan.LiveMops().size();
+  const std::string before = ExplainPlan(plan);
   OptimizerOptions opts;
-  opts.max_rounds = 0;
+  opts.enable_cse = opts.enable_predicate_index =
+      opts.enable_shared_aggregate = opts.enable_shared_join =
+          opts.enable_channels = false;
   OptimizeStats stats = Optimize(&plan, opts);
   EXPECT_EQ(stats.total(), 0);
-  EXPECT_EQ(plan.LiveMops().size(), before);
+  EXPECT_EQ(stats.rounds, 1);
+  EXPECT_EQ(ExplainPlan(plan), before);
 }
 
 TEST(RuleOrderTest, CustomRuleRegistration) {
@@ -143,9 +188,10 @@ TEST(RuleOrderTest, CustomRuleRegistration) {
   RuleEngine engine;
   int calls = 0;
   engine.AddRule(std::make_unique<CountingRule>(&calls));
-  std::vector<int> merges = engine.Run(&plan, sharable, 8);
+  const RuleEngine::Result run = engine.Run(&plan, sharable);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(merges[0], 0);
+  EXPECT_EQ(run.merges[0], 0);
+  EXPECT_EQ(run.rounds, 1);
 }
 
 }  // namespace

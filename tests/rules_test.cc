@@ -136,6 +136,22 @@ TEST(CseRuleTest, MergesIdenticalQueries) {
   EXPECT_EQ(sink.ForStream(plan.outputs()[0].stream), 1);
 }
 
+TEST(OptimizeStatsTest, RoundsCountsTheRoundsRun) {
+  auto s = QueryBuilder::FromSource("S", TenInts());
+  // Nothing to merge: the first round already finds the fixpoint.
+  Plan single;
+  ASSERT_TRUE(CompileQuery(s.Select("a0 = 5").Build("Q1"), &single).ok());
+  EXPECT_EQ(Optimize(&single).rounds, 1);
+
+  // Two duplicates: round 1 merges them, round 2 merges nothing and stops.
+  Plan twins;
+  ASSERT_TRUE(CompileQuery(s.Select("a0 = 5").Build("Q1"), &twins).ok());
+  ASSERT_TRUE(CompileQuery(s.Select("a0 = 5").Build("Q2"), &twins).ok());
+  OptimizeStats stats = Optimize(&twins);
+  EXPECT_EQ(stats.cse_merges, 1);
+  EXPECT_EQ(stats.rounds, 2);
+}
+
 TEST(CseRuleTest, MergesPatternPrefixes) {
   // Two sequence queries sharing σ(S) and the full ; — prefix merging.
   Plan plan;

@@ -389,8 +389,8 @@ TEST(ShardedEngineTest, AddAndRemoveQueriesWhileRunning) {
 
 // --- replica identity --------------------------------------------------------
 
-// Every replica is built the same way (compile, share index, seeded
-// optimizer), so a sharded engine's replicas must equal the one-shard plan
+// Every replica is built the same way (compile, share index, optimizer),
+// so a sharded engine's replicas must equal the one-shard plan
 // m-op for m-op, id for id.
 std::string StartedPlan(int shards,
                         const std::function<void(StreamEngine*)>& setup) {
@@ -401,30 +401,38 @@ std::string StartedPlan(int shards,
   return ExplainPlan(engine.plan_for_testing());
 }
 
-void ExpectReplicasMatchOneShard(
+// Returns the one-shard plan.
+std::string ExpectReplicasMatchOneShard(
     const std::function<void(StreamEngine*)>& setup) {
   const std::string one = StartedPlan(1, setup);
   for (int shards : {2, 4}) {
     EXPECT_EQ(StartedPlan(shards, setup), one) << "shards=" << shards;
   }
+  return one;
 }
 
 TEST(ShardedEngineTest, ReplicasMatchOneShardPlanOnWorkload1) {
   // fig9a's standing set: 1000 Workload-1 queries at the Table-3 defaults.
-  ExpectReplicasMatchOneShard([](StreamEngine* engine) {
-    SyntheticParams params;
-    const Schema schema = params.MakeSchema();
-    RUMOR_CHECK(engine->RegisterSource("S", schema).ok());
-    RUMOR_CHECK(engine->RegisterSource("T", schema).ok());
-    Rng rng(params.seed);
-    const std::vector<W1Spec> specs = DrawW1Specs(params, rng);
-    for (size_t i = 0; i < specs.size(); ++i) {
-      RUMOR_CHECK(engine
-                      ->AddQuery(MakeW1Query("Q" + std::to_string(i),
-                                             specs[i], schema))
-                      .ok());
-    }
-  });
+  SyntheticParams params;
+  const Schema schema = params.MakeSchema();
+  Rng rng(params.seed);
+  const std::vector<W1Spec> specs = DrawW1Specs(params, rng);
+  std::vector<Query> queries;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    queries.push_back(MakeW1Query("Q" + std::to_string(i), specs[i], schema));
+  }
+  const std::string one =
+      ExpectReplicasMatchOneShard([&](StreamEngine* engine) {
+        RUMOR_CHECK(engine->RegisterSource("S", schema).ok());
+        RUMOR_CHECK(engine->RegisterSource("T", schema).ok());
+        for (const Query& q : queries) RUMOR_CHECK(engine->AddQuery(q).ok());
+      });
+  // The figure benches' path (RunRumor): compile, then Optimize without an
+  // index. It must build the engine's plan.
+  Plan plan;
+  ASSERT_TRUE(CompileQueries(queries, &plan).ok());
+  Optimize(&plan);
+  EXPECT_EQ(ExplainPlan(plan), one);
 }
 
 TEST(ShardedEngineTest, ReplicasMatchOneShardPlanOnPerfmonAggregates) {

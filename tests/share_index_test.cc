@@ -35,7 +35,7 @@ std::vector<MopId> SelectionsOf(const Plan& plan) {
 }
 
 // Forms a per-member-port predicate index from the given single selections,
-// exactly as PredicateIndexRule does (members keep their output channels).
+// as sσ does (members keep their output channels).
 MopId FormIndexFrom(Plan* plan, const std::vector<MopId>& singles) {
   std::vector<SelectionDef> defs;
   std::vector<ChannelId> outs;

@@ -168,5 +168,57 @@ TEST(StreamEngineTest, FailedStartCanBeRetried) {
   EXPECT_EQ(engine.plan_for_testing().outputs().size(), 1u);
 }
 
+// A predicate that is not bool is rejected when its query is added, before
+// or after Start(), and the error names the expression. The good query's
+// outputs stay as they are and the engine keeps running: evaluating such a
+// predicate would abort every tenant at the next Push.
+TEST(StreamEngineTest, NonBoolPredicatesAreRejected) {
+  const std::vector<std::pair<std::string, std::string>> bad_rql = {
+      {"SELECT * FROM CPU WHERE load + 1", "(l.load + 1)"},
+      {"SELECT * FROM CPU WHERE load > 1 AND pid", "l.pid"},
+      {"SELECT * FROM CPU WHERE NOT load", "l.load"},
+  };
+  const auto cpu = QueryBuilder::FromSource("CPU", CpuSchema());
+  const Query bad_sequence =
+      cpu.Sequence(cpu, "l.load - r.load", 100).Build("bad_sequence");
+  auto expect_rejected = [&](StreamEngine* engine, const std::string& tag) {
+    for (size_t i = 0; i < bad_rql.size(); ++i) {
+      const Status s = engine->AddQueryText(
+          bad_rql[i].first, tag + std::to_string(i));
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad_rql[i].first;
+      EXPECT_NE(s.message().find(bad_rql[i].second), std::string::npos)
+          << s.ToString();
+    }
+    Query sequence = bad_sequence;
+    sequence.name = tag + "_sequence";
+    const Status s = engine->AddQuery(sequence);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("(l.load - r.load)"), std::string::npos)
+        << s.ToString();
+  };
+  auto run = [&](bool add_bad) {
+    StreamEngine engine;
+    EXPECT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+    std::vector<std::string> rows;
+    engine.SetOutputHandler([&rows](const std::string& q, const Tuple& t) {
+      rows.push_back(q + t.ToString());
+    });
+    EXPECT_TRUE(
+        engine.AddQueryText("SELECT * FROM CPU WHERE load > 50", "good").ok());
+    if (add_bad) expect_rejected(&engine, "before");
+    EXPECT_TRUE(engine.Start().ok());
+    EXPECT_EQ(engine.num_queries(), 1);
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_TRUE(engine.Push("CPU", Tuple::MakeInts({i, i * 11}, i)).ok());
+      if (add_bad && i == 4) expect_rejected(&engine, "after");
+    }
+    EXPECT_EQ(engine.num_queries(), 1);
+    return rows;
+  };
+  const std::vector<std::string> clean = run(false);
+  EXPECT_EQ(clean.size(), 5u);
+  EXPECT_EQ(run(true), clean);
+}
+
 }  // namespace
 }  // namespace rumor
